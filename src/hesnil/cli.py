@@ -8,7 +8,8 @@ import sys
 import click
 
 from .poly import Poly, format_poly, parse
-from .nilpotency import is_hn
+from .nilpotency import CriterionMismatchError, is_hn
+from .generators import GeneratorTheoremError
 from .inversion import (
     deg_t,
     first_vanishing_index,
@@ -20,6 +21,7 @@ from .inversion import (
 from .vanishing import (
     ConfigError,
     ExperimentConfig,
+    TheoremCheckError,
     build_member,
     emit_report,
     render_report,
@@ -131,6 +133,9 @@ def vanishing_command(config_path: str) -> None:
         reports, failures = run_vanishing_full(cfg)
     except (ConfigError, ValueError) as exc:
         raise click.ClickException(str(exc))
+    except (CriterionMismatchError, TheoremCheckError, GeneratorTheoremError) as exc:
+        click.echo(f"theorem check failed: {exc}", err=True)
+        sys.exit(2)
     if cfg.out:
         emit_report(reports, cfg.format, cfg.out)
         click.echo(f"wrote {len(reports)} report(s) to {cfg.out}")

@@ -82,11 +82,6 @@ def grad_pair(p: Poly, q: Poly) -> Poly:
     return total
 
 
-def lambda_op(p: Poly, f: Poly) -> Poly:
-    """The first-order operator Lambda_p applied to f: sum_i (dp/dz_i) d f/dz_i."""
-    return grad_pair(p, f)
-
-
 def sigma_squared(arity: int) -> Poly:
     """sum_i z_i^2, whose operator image under f(D) is the Laplacian."""
     terms = {}
@@ -268,6 +263,16 @@ class PolyMatrix:
         for _ in range(exponent - 1):
             result = result * self
         return result
+
+    def trace_powers(self, k: int) -> List[Poly]:
+        """[Tr M^m for m = 1..k]."""
+        traces = []
+        acc = self
+        for m in range(k):
+            if m:
+                acc = acc * self
+            traces.append(acc.trace())
+        return traces
 
     def trace(self) -> Poly:
         n, m = self.shape

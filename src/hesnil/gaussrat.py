@@ -31,8 +31,6 @@ class GaussianRational:
     def coerce(value: ScalarLike) -> "GaussianRational":
         if type(value) is GaussianRational:
             return value
-        if isinstance(value, GaussianRational):
-            return value
         if isinstance(value, (int, str, Fraction)):
             return GaussianRational(value)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")

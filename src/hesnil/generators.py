@@ -112,19 +112,8 @@ def w_construction(xi: IsotropicSet, d: int) -> Poly:
     The orthogonality is re-verified here rather than trusted from the flag.
     An empty family yields the zero polynomial.
     """
-    if d < 2:
-        raise ValueError("degree d must be at least 2")
-    vecs = xi.vectors
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            q = bilinear(vecs[i], vecs[j])
-            if not q.is_zero():
-                raise OrthogonalityViolation(
-                    f"vectors {i} and {j} have <a, b> = {q} != 0")
-    total = Poly.zero(xi.arity)
-    for v in vecs:
-        total = total + linear_form(v, xi.arity) ** d
-    return total
+    IsotropicSet(xi.arity, xi.vectors, pairwise_orthogonal=True)
+    return w_construction_unchecked(xi, d)
 
 
 def w_tilde_construction(xi_list: Sequence[IsotropicSet], max_degree: int) -> Poly:
@@ -141,12 +130,7 @@ def w_tilde_construction(xi_list: Sequence[IsotropicSet], max_degree: int) -> Po
         if xi.arity != n:
             raise ValueError("families have mismatched arity")
         flat.extend(xi.vectors)
-    for i in range(len(flat)):
-        for j in range(i + 1, len(flat)):
-            q = bilinear(flat[i], flat[j])
-            if not q.is_zero():
-                raise OrthogonalityViolation(
-                    f"vectors {i} and {j} have <a, b> = {q} != 0")
+    IsotropicSet(n, flat, pairwise_orthogonal=True)
     total = Poly.zero(n)
     for m, xi in enumerate(xi_list, start=1):
         d = m + 1
@@ -181,22 +165,26 @@ def ug_construction(g: Poly, betas: Union[IsotropicSet, Sequence[VectorLike]]) -
     return g.substitute_linear(matrix)
 
 
-def pg_construction(g: Poly) -> Poly:
-    """Double the variables: z_j of g becomes u_j + i v_j.
-
-    For g in n variables the result lives in 2n variables ordered
-    u_1..u_n, v_1..v_n, and is Hessian-nilpotent for every g.
-    """
-    n = g.arity
-    if n < 1:
-        raise ValueError("g must have at least one variable")
+def _doubling_matrix(n: int) -> List[List[GaussianRational]]:
+    """Rows of the substitution z_j -> u_j + i v_j into 2n variables."""
     matrix = []
     for j in range(n):
         row = [GaussianRational(0)] * (2 * n)
         row[j] = GaussianRational(1)
         row[n + j] = gr(0, 1)
         matrix.append(row)
-    return g.substitute_linear(matrix)
+    return matrix
+
+
+def pg_construction(g: Poly) -> Poly:
+    """Double the variables: z_j of g becomes u_j + i v_j.
+
+    For g in n variables the result lives in 2n variables ordered
+    u_1..u_n, v_1..v_n, and is Hessian-nilpotent for every g.
+    """
+    if g.arity < 1:
+        raise ValueError("g must have at least one variable")
+    return g.substitute_linear(_doubling_matrix(g.arity))
 
 
 def ph_construction(h: PolyVector) -> Tuple[Poly, bool]:
@@ -210,30 +198,14 @@ def ph_construction(h: PolyVector) -> Tuple[Poly, bool]:
     n = len(h)
     if h.arity != n:
         raise ValueError("H must be a map C^n -> C^n in n variables")
-    matrix = []
-    for j in range(n):
-        row = [GaussianRational(0)] * (2 * n)
-        row[j] = GaussianRational(1)
-        row[n + j] = gr(0, 1)
-        matrix.append(row)
+    matrix = _doubling_matrix(n)
     total = Poly.zero(2 * n)
     for idx in range(n):
         substituted = h[idx].substitute_linear(matrix)
         total = total + Poly.variable(n + idx, 2 * n) * substituted
-    jh = jacobian(h)
-    nilpotent = _matrix_is_nilpotent(jh)
+    # Tr JH^m = 0 for m = 1..n is equivalent to nilpotency in char 0
+    nilpotent = all(t.is_zero() for t in jacobian(h).trace_powers(n))
     return total, nilpotent
-
-
-def _matrix_is_nilpotent(mat: PolyMatrix) -> bool:
-    """Tr M^m = 0 for m = 1..size is equivalent to nilpotency in char 0."""
-    size = mat.shape[0]
-    acc = mat
-    for _ in range(size):
-        if not acc.trace().is_zero():
-            return False
-        acc = acc * mat
-    return True
 
 
 def scalar_det(rows: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
@@ -301,16 +273,10 @@ def crit2_check(alphas: IsotropicSet, d: int, m_max: int):
     n = alphas.arity
     p = w_construction_unchecked(alphas, d)
 
-    traces = trace_powers(p, m_max)
-    pairs = []
     factor = GaussianRational(d * (d - 1))
-    scale = factor
-    psi_acc = data.psi
-    for m in range(1, m_max + 1):
-        rhs = psi_acc.trace().scale(scale)
-        pairs.append((traces[m - 1], rhs))
-        psi_acc = psi_acc * data.psi
-        scale = scale * factor
+    psi_traces = data.psi.trace_powers(m_max)
+    pairs = [(lhs, psi_traces[m - 1].scale(factor ** m))
+             for m, lhs in enumerate(trace_powers(p, m_max), start=1)]
 
     report = is_hn(p)
     if report.is_hn:

@@ -30,13 +30,7 @@ def trace_powers(p: Poly, max_m: Optional[int] = None) -> List[Poly]:
         raise ValueError("max_m must be nonnegative")
     if n == 0 or max_m == 0:
         return []
-    h = hessian(p)
-    acc = h
-    traces = [acc.trace()]
-    for _ in range(max_m - 1):
-        acc = acc * h
-        traces.append(acc.trace())
-    return traces
+    return hessian(p).trace_powers(max_m)
 
 
 def laplacian_powers(p: Poly, max_m: Optional[int] = None) -> List[Poly]:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .gaussrat import GaussianRational
 from .poly import Poly, format_poly
 from .diffops import PolyVector, apply_D, grad, laplacian_iter, sigma_squared
 from .nilpotency import is_hn
-from .inversion import invert_closed, invert_hn, deg_t as pair_deg_t
+from .inversion import deg_t as pair_deg_t, invert_general
 from .generators import (
     IsotropicSet,
     _SCALE_POOL,
@@ -205,12 +207,6 @@ def _format_vector(vec) -> str:
     return "(" + ", ".join(str(c) for c in vec) + ")"
 
 
-def generate_trial(cfg: ExperimentConfig, index: int) -> Tuple[Poly, dict]:
-    """Build one trial's polynomial plus its provenance record."""
-    return build_member(cfg.n, cfg.d, cfg.generator_kind, cfg.generator_params,
-                        _trial_seed(cfg.seed, index), index)
-
-
 def build_member(n: int, d: int, kind: str, params: dict, trial_seed: int,
                  index: int = 0) -> Tuple[Poly, dict]:
     """Build a corpus member from an explicit per-member seed."""
@@ -228,7 +224,9 @@ def build_member(n: int, d: int, kind: str, params: dict, trial_seed: int,
         return w_construction(family, d), provenance
 
     if kind == "wtilde":
-        counts = params.get("counts", [1] * (d - 1))
+        # one vector per degree from the top down, as many as fit in C^n
+        k = min(d - 1, n // 2)
+        counts = params.get("counts", [0] * (d - 1 - k) + [1] * k)
         if not counts or any((not isinstance(c, int)) or c < 0 for c in counts):
             raise ConfigError("wtilde counts must be nonnegative integers")
         total = sum(counts)
@@ -290,6 +288,34 @@ def build_member(n: int, d: int, kind: str, params: dict, trial_seed: int,
     raise ConfigError(f"unknown generator kind: {kind!r}")
 
 
+def _annihilated(ops: Sequence[Tuple[str, Poly]],
+                 targets: Sequence[Poly]) -> Dict[Tuple[str, int], bool]:
+    """(label, m) -> whether f(D) targets[m] = 0, for each labelled operator f."""
+    return {(label, m): apply_D(f, target).is_zero()
+            for m, target in enumerate(targets) for label, f in ops}
+
+
+def _ideal_ops(p: Poly) -> List[Tuple[str, Poly]]:
+    """sigma^2 and the partials of P: generators of the derivative ideal."""
+    return [("sigma^2", sigma_squared(p.arity))] + [
+        (f"partial_{i + 1}", dp) for i, dp in enumerate(grad(p))]
+
+
+def _pd_pass(p: Poly, d: int, w0: Sequence[Poly], p2: Poly, big_m: int) -> bool:
+    """The pd_qt_check verdict, read off w0[m] = Delta^m P^{m+1} and p2 = P^2.
+
+    Q_[m] is Delta^{m-1} P^m times a nonzero constant, so P(D) Q_[m] = 0
+    exactly when P(D) w0[m-1] = 0; the spot checks of P on w0[0..2] are
+    among those and run once.
+    """
+    if d == 2:
+        ops = [("P", p), ("sigma^2", sigma_squared(p.arity))]
+        return all(_annihilated(ops, w0[:big_m + 1]).values())
+    spot_ops = [("P^2", p2), ("Delta P^2", w0[1])]
+    return (all(_annihilated([("P", p)], w0[:max(big_m, 3)]).values())
+            and all(_annihilated(spot_ops, w0[:3]).values()))
+
+
 def isotropy_check(p: Poly, d: int, m_max: int) -> Dict[Tuple[str, int], bool]:
     """Apply sigma^2(D) and each (dP/dz_i)(D) to Delta^m P^{m+1}, m <= m_max.
 
@@ -305,17 +331,7 @@ def isotropy_check(p: Poly, d: int, m_max: int) -> Dict[Tuple[str, int], bool]:
         raise ValueError("P must be Hessian-nilpotent")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    ops = [("sigma^2", sigma_squared(p.arity))]
-    for i, dp in enumerate(grad(p)):
-        ops.append((f"partial_{i + 1}", dp))
-    results: Dict[Tuple[str, int], bool] = {}
-    power = Poly.one(p.arity)
-    for m in range(0, m_max + 1):
-        power = power * p
-        target = laplacian_iter(power, m)
-        for label, f in ops:
-            results[(label, m)] = apply_D(f, target).is_zero()
-    return results
+    return _annihilated(_ideal_ops(p), _vanishing_flags(p, m_max, 0)[0])
 
 
 def pd_qt_check(p: Poly, big_m: int) -> bool:
@@ -333,87 +349,59 @@ def pd_qt_check(p: Poly, big_m: int) -> bool:
     report = is_hn(p)
     if not report.is_hn:
         raise ValueError("P must be Hessian-nilpotent")
-
-    if d == 2:
-        power = Poly.one(p.arity)
-        sig = sigma_squared(p.arity)
-        for m in range(0, big_m + 1):
-            power = power * p
-            target = laplacian_iter(power, m)
-            if not apply_D(p, target).is_zero():
-                return False
-            if not apply_D(sig, target).is_zero():
-                return False
-        return True
-
-    pair = invert_closed(p, big_m)
-    for m in range(1, big_m + 1):
-        if not apply_D(p, pair.q.coeff(m - 1)).is_zero():
-            return False
-    p2 = p * p
-    spot_ops = [p, p2, laplacian_iter(p2, 1)]
-    power = Poly.one(p.arity)
-    for m in range(0, 3):
-        power = power * p
-        target = laplacian_iter(power, m)
-        for f in spot_ops:
-            if not apply_D(f, target).is_zero():
-                return False
-    return True
+    top = big_m if d == 2 else max(big_m - 1, 2)
+    return _pd_pass(p, d, _vanishing_flags(p, top, 0)[0], p * p, big_m)
 
 
-def _vanishing_flags(p: Poly, big_m: int, extra: int) -> List[List[bool]]:
-    """flags[j][m-1] tells whether Delta^m P^{m+1+j} = 0, for j = 0..extra."""
-    powers = [Poly.one(p.arity)]
-    for _ in range(big_m + 1 + extra):
+def _vanishing_flags(p: Poly, top: int, extra: int) -> List[List[Poly]]:
+    """The window W[j][m] = Delta^m P^{m+1+j} for m = 0..top, j = 0..extra.
+
+    The vanishing flags are its zero tests; each trial forms it once and
+    reads every other power and iterated Laplacian it checks from it.
+    """
+    powers = [p]
+    for _ in range(top + extra):
         powers.append(powers[-1] * p)
-    out = []
-    for j in range(extra + 1):
-        out.append([laplacian_iter(powers[m + 1 + j], m).is_zero()
-                    for m in range(1, big_m + 1)])
-    return out
+    return [[laplacian_iter(powers[m + j], m) for m in range(top + 1)]
+            for j in range(extra + 1)]
 
 
 def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[str]]:
     """One corpus member: report plus any theorem-level failure messages."""
-    p, provenance = generate_trial(cfg, index)
+    p, provenance = build_member(cfg.n, cfg.d, cfg.generator_kind, cfg.generator_params,
+                                 _trial_seed(cfg.seed, index), index)
     big_m = cfg.t_order
     failures: List[str] = []
     tag = f"trial {index} ({cfg.generator_kind})"
 
-    report = is_hn(p)
-    hn = report.is_hn
+    # is_hn also cross-checks Delta^m P^m = 0 for m <= n against the traces
+    hn = is_hn(p).is_hn
     if not hn:
         failures.append(f"{tag}: generator produced a non-HN polynomial")
 
-    flag_rows = _vanishing_flags(p, big_m, CONSISTENCY_K0 - 1)
-    flags = flag_rows[0]
-    offset_flags = flag_rows[CONSISTENCY_K0 - 1]
+    # the spot checks of _pd_pass read the window up to m = 2
+    window = _vanishing_flags(p, max(big_m, 2), CONSISTENCY_K0 - 1)
+    flags = [w.is_zero() for w in window[0][1:big_m + 1]]
+    offset_flags = [w.is_zero() for w in window[CONSISTENCY_K0 - 1][1:big_m + 1]]
 
     nonzero = [m for m in range(1, big_m + 1) if not flags[m - 1]]
     degree_t = max(nonzero) if nonzero else 0
 
     if hn:
-        # iterated Laplacians of powers must vanish up to the arity
-        for m in range(1, min(big_m, p.arity) + 1):
-            power = p ** m
-            if not laplacian_iter(power, m).is_zero():
-                failures.append(f"{tag}: Delta^{m} P^{m} != 0 on an HN member")
-
         # eventual-vanishing consistency: a clean trailing window at offset
         # k0 forces a clean shifted window at offset 1
-        window = range(max(1, big_m - CONSISTENCY_WINDOW), big_m + 1)
-        if all(offset_flags[m - 1] for m in window):
-            for m in window:
+        window_ms = range(max(1, big_m - CONSISTENCY_WINDOW), big_m + 1)
+        if all(offset_flags[m - 1] for m in window_ms):
+            for m in window_ms:
                 shifted = m + CONSISTENCY_K0 - 1
                 if shifted <= big_m and not flags[shifted - 1]:
                     failures.append(
                         f"{tag}: offset-{CONSISTENCY_K0} window vanishes but "
                         f"Delta^{shifted} P^{shifted + 1} != 0")
 
-        # the recurrence-based inverter must see the same top degree in t
-        pair = invert_hn(p, big_m + 1)
-        inv_deg = pair_deg_t(pair)
+        # the gradient recurrence, which does not assume HN, must see the
+        # same top degree in t
+        inv_deg = pair_deg_t(invert_general(p, big_m + 1))
         if inv_deg != degree_t:
             failures.append(
                 f"{tag}: inversion deg_t {inv_deg} != window deg_t {degree_t}")
@@ -421,17 +409,16 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     d_actual = p.is_homogeneous()
     isotropy: Optional[Dict[str, Optional[bool]]] = None
     if hn and d_actual is not None and d_actual >= 2:
+        pd_ok = _pd_pass(p, d_actual, window[0], window[1][0], min(big_m, 4))
         if d_actual >= 3:
-            ideal = isotropy_check(p, d_actual, min(big_m, 3))
+            ideal = _annihilated(_ideal_ops(p), window[0][:min(big_m, 3) + 1])
             ideal_ok = all(ideal.values())
-            pd_ok = pd_qt_check(p, min(big_m, 4))
             isotropy = {"derivative_ideal": ideal_ok, "pd_on_q": pd_ok}
             if not ideal_ok:
                 failures.append(f"{tag}: derivative-ideal annihilation failed")
             if not pd_ok:
                 failures.append(f"{tag}: P(D) annihilation of Q coefficients failed")
         else:
-            pd_ok = pd_qt_check(p, min(big_m, 4))
             isotropy = {"derivative_ideal": None, "pd_on_q": pd_ok}
             if not pd_ok:
                 failures.append(f"{tag}: degree-2 annihilation variant failed")
@@ -457,26 +444,21 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     )
 
 
-def _run_trial_star(args: Tuple[ExperimentConfig, int]):
-    return run_trial(*args)
-
-
 def run_vanishing_full(cfg: ExperimentConfig) -> Tuple[List[VanishingReport], List[str]]:
-    """All trials in seed order, plus collected theorem-level failures."""
-    jobs = [(cfg, i) for i in range(cfg.trials)]
-    if cfg.parallelism > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            outcomes = list(pool.map(_run_trial_star, jobs))
+    """All trials in seed order, plus collected theorem-level failures.
+
+    Trials run in a process pool of min(parallelism, trials, CPU count)
+    workers, or serially when that is 1.
+    """
+    workers = min(cfg.parallelism, cfg.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_trial, itertools.repeat(cfg), range(cfg.trials)))
     else:
         outcomes = [run_trial(cfg, i) for i in range(cfg.trials)]
     reports = [r for r, _ in outcomes]
     failures = [msg for _, fails in outcomes for msg in fails]
     return reports, failures
-
-
-def run_vanishing(cfg: ExperimentConfig) -> List[VanishingReport]:
-    reports, _ = run_vanishing_full(cfg)
-    return reports
 
 
 _CSV_FIXED_PRE = ["provenance", "hn_verdict"]

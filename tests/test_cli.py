@@ -1,11 +1,23 @@
 """End-to-end checks of the four CLI commands."""
 
 import json
+from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
-from hesnil import format_poly, invert_general, parse, render_report, run_vanishing
-from hesnil import ExperimentConfig
+import hesnil.vanishing
+from hesnil import (
+    CriterionMismatchError,
+    ExperimentConfig,
+    GeneratorTheoremError,
+    TheoremCheckError,
+    format_poly,
+    invert_general,
+    parse,
+    render_report,
+    run_vanishing_full,
+)
 from hesnil.cli import main
 
 WORKED_TEXT = "v1*(u2+i*v2)^2"
@@ -95,6 +107,11 @@ def test_generate(tmp_path):
                                "--d", "3", "--seed", "1"])
     assert bad.exit_code != 0
 
+    # the paper's n=4, d=4 case builds with the default wtilde counts
+    wtilde = runner.invoke(main, ["generate", "--kind", "wtilde", "--n", "4",
+                                  "--d", "4", "--seed", "1"])
+    assert wtilde.exit_code == 0
+
 
 def test_vanishing_stdout_and_exit_zero(tmp_path):
     cfg_data = {"n": 4, "d": 3, "generator": {"kind": "ph"}, "trials": 2,
@@ -103,8 +120,8 @@ def test_vanishing_stdout_and_exit_zero(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["vanishing", "--config", cfg_file])
     assert result.exit_code == 0
-    expected = render_report(run_vanishing(ExperimentConfig.from_dict(cfg_data)),
-                             "json")
+    expected = render_report(
+        run_vanishing_full(ExperimentConfig.from_dict(cfg_data))[0], "json")
     assert result.stdout == expected
     again = runner.invoke(main, ["vanishing", "--config", cfg_file])
     assert again.stdout == result.stdout
@@ -122,6 +139,34 @@ def test_vanishing_writes_file(tmp_path):
     text = out_path.read_text(encoding="utf-8")
     assert text.startswith("provenance,hn_verdict,m1,m2,m3,")
     assert text.count("\n") == 3
+
+
+GOLDEN_CONFIG = {"n": 4, "d": 3, "generator": {"kind": "ph"}, "trials": 2,
+                 "seed": 7, "t_order": 4}
+
+
+@pytest.mark.parametrize("error", [CriterionMismatchError, TheoremCheckError,
+                                   GeneratorTheoremError])
+def test_vanishing_theorem_failure_exits_2(tmp_path, monkeypatch, error):
+    def broken_is_hn(p):
+        raise error("planted failure")
+
+    monkeypatch.setattr(hesnil.vanishing, "is_hn", broken_is_hn)
+    cfg_file = write(tmp_path / "cfg.json", json.dumps(GOLDEN_CONFIG))
+    result = CliRunner().invoke(main, ["vanishing", "--config", cfg_file])
+    assert result.exit_code == 2
+    assert "theorem check failed: planted failure" in result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_vanishing_missed_bound_exits_3(tmp_path, monkeypatch):
+    # the golden members have Delta P^2 != 0, so a cutoff of 0 is missed at m=1
+    monkeypatch.setattr(hesnil.vanishing, "alpha_bound", lambda n, d: Fraction(0))
+    cfg_file = write(tmp_path / "cfg.json", json.dumps(GOLDEN_CONFIG))
+    result = CliRunner().invoke(main, ["vanishing", "--config", cfg_file])
+    assert result.exit_code == 3
+    assert "vanishing beyond the bound failed in 2 trial(s)" in result.stderr
+    assert [r["bound_respected"] for r in json.loads(result.stdout)] == [False, False]
 
 
 def test_vanishing_config_errors(tmp_path):

@@ -16,7 +16,6 @@ from hesnil import (
     jacobian,
     jacobian_det,
     kfactorial_fD_identity,
-    lambda_op,
     laplacian,
     laplacian_iter,
     laplacian_product_expansion,
@@ -67,7 +66,6 @@ def test_grad_pair_is_symmetric_bilinear():
     a, b = parse("z1^2*z2"), parse("z2^3")
     assert grad_pair(a, b) == grad_pair(b, a)
     assert grad_pair(a + b, b) == grad_pair(a, b) + grad_pair(b, b)
-    assert lambda_op(a, b) == grad_pair(a, b)
 
 
 def test_sigma_squared_and_apply_D():

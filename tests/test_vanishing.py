@@ -1,23 +1,26 @@
 """Experiment harness: config validation, trial reports, serialization."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hesnil.vanishing
 from hesnil import (
     ConfigError,
     ExperimentConfig,
+    Poly,
     VanishingReport,
     alpha_bound,
     build_member,
     emit_report,
+    is_hn,
     isotropy_check,
     load_report_json,
     parse,
     pd_qt_check,
     render_report,
-    run_vanishing,
     run_vanishing_full,
 )
 
@@ -133,6 +136,10 @@ def test_build_member_provenance_schema():
     assert "inner" in prov
     _, prov = build_member(4, 3, "ph", {}, 11)
     assert len(prov["map"]) == 2
+    # the paper's n=4, d=4 case: one vector per degree from the top down
+    p, prov = build_member(4, 4, "wtilde", {}, 11)
+    assert [len(fam) for fam in prov["vectors"]] == [0, 1, 1]
+    assert p.degree() == 4 and is_hn(p).is_hn
 
 
 def test_golden_report():
@@ -182,8 +189,8 @@ def test_runs_are_deterministic():
     cfg = ExperimentConfig.from_dict(
         {"n": 4, "d": 3, "generator": {"kind": "w"}, "trials": 3, "seed": 42,
          "t_order": 3})
-    first = render_report(run_vanishing(cfg), "json")
-    second = render_report(run_vanishing(cfg), "json")
+    first = render_report(run_vanishing_full(cfg)[0], "json")
+    second = render_report(run_vanishing_full(cfg)[0], "json")
     assert first == second
 
 
@@ -194,7 +201,7 @@ def test_parallel_matches_serial():
     parallel = ExperimentConfig.from_dict(
         {"n": 4, "d": 3, "generator": {"kind": "ph"}, "trials": 3, "seed": 13,
          "t_order": 3, "parallelism": 2})
-    assert run_vanishing(serial) == run_vanishing(parallel)
+    assert run_vanishing_full(serial) == run_vanishing_full(parallel)
 
 
 def test_render_edge_cases():
@@ -214,7 +221,7 @@ def test_render_edge_cases():
 
 def test_emit_and_load_roundtrip(tmp_path):
     cfg = ExperimentConfig.from_dict(dict(BASE))
-    reports = run_vanishing(cfg)
+    reports = run_vanishing_full(cfg)[0]
     path = tmp_path / "report.json"
     text = emit_report(reports, "json", str(path))
     assert path.read_text(encoding="utf-8") == text
@@ -249,3 +256,98 @@ def test_pd_qt_check_direct():
         pd_qt_check(parse("z1^3 + z1"), 2)
     with pytest.raises(ValueError):
         pd_qt_check(parse("z1^2*z2 + z2^3"), 2)
+
+
+def _rebind_everywhere(monkeypatch, original, replacement):
+    """Replace a function in every hesnil module that binds it."""
+    for name, mod in list(sys.modules.items()):
+        if name == "hesnil" or name.startswith("hesnil."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+@pytest.mark.parametrize("config", [
+    {"n": 4, "d": 3, "generator": {"kind": "ph"}, "seed": 7, "t_order": 4},
+    {"n": 4, "d": 4, "generator": {"kind": "pg"}, "seed": 3, "t_order": 3},
+])
+def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
+    cfg = ExperimentConfig.from_dict({**config, "trials": 1})
+    p, _ = build_member(cfg.n, cfg.d, cfg.generator_kind, {}, cfg.seed * 1_000_003)
+    depth = [0]
+    hn_calls = []
+    stray = []
+
+    def allowed(fn):
+        def inner(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return inner
+
+    counted_is_hn = allowed(hesnil.nilpotency.is_hn)
+
+    def counting_is_hn(q):
+        hn_calls.append(q)
+        return counted_is_hn(q)
+
+    laplacian_iter = hesnil.diffops.laplacian_iter
+
+    def watched_laplacian_iter(q, k):
+        if not depth[0] and k:
+            stray.append(("laplacian_iter", k))
+        return laplacian_iter(q, k)
+
+    poly_mul = Poly.__mul__
+
+    def watched_mul(a, b):
+        if not depth[0] and isinstance(b, Poly) and (a == p or b == p):
+            stray.append(("power", a.degree() + b.degree()))
+        return poly_mul(a, b)
+
+    _rebind_everywhere(monkeypatch, hesnil.nilpotency.is_hn, counting_is_hn)
+    _rebind_everywhere(monkeypatch, laplacian_iter, watched_laplacian_iter)
+    monkeypatch.setattr(Poly, "__mul__", watched_mul)
+    monkeypatch.setattr(hesnil.vanishing, "_vanishing_flags",
+                        allowed(hesnil.vanishing._vanishing_flags))
+
+    report, failures = hesnil.vanishing.run_trial(cfg, 0)
+    assert failures == [] and report.hn_verdict
+    assert report.isotropy_pass == {"derivative_ideal": True, "pd_on_q": True}
+    assert len(hn_calls) == 1 and hn_calls[0] == p
+    assert stray == []
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor and runs the map in-process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2), (None, None)])
+def test_parallelism_is_capped(monkeypatch, cpus, workers):
+    _RecordingPool.created = []
+    monkeypatch.setattr(hesnil.vanishing, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(hesnil.vanishing.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(hesnil.vanishing, "run_trial",
+                        lambda cfg, index: (index, [f"trial {index}"]))
+    cfg = ExperimentConfig.from_dict({**BASE, "trials": 3, "parallelism": 64})
+    reports, failures = run_vanishing_full(cfg)
+    assert reports == [0, 1, 2]
+    assert failures == ["trial 0", "trial 1", "trial 2"]
+    # one CPU (or an unknown count) runs serially, without a pool
+    assert _RecordingPool.created == ([] if workers is None else [workers])
