@@ -72,6 +72,23 @@ def laplacian_iter(p: Poly, k: int) -> Poly:
     return p
 
 
+def laplacian_powers_table(p: Poly, top: int, offsets: Sequence[int]) -> List[List[Poly]]:
+    """rows[j][m] = Delta^m P^{m + offsets[j]} for m = 0..top.
+
+    The powers of P are formed in turn, each once, and each is dropped as
+    soon as every row that reads it has its entry.
+    """
+    rows: List[List[Poly]] = [[] for _ in offsets]
+    power = Poly.one(p.arity)
+    for i in range(top + max(offsets) + 1):
+        if i:
+            power = p if i == 1 else power * p
+        for row, k in zip(rows, offsets):
+            if 0 <= i - k <= top:
+                row.append(laplacian_iter(power, i - k))
+    return rows
+
+
 def grad_pair(p: Poly, q: Poly) -> Poly:
     """<grad p, grad q> = sum_i (dp/dz_i)(dq/dz_i), bilinear."""
     if p.arity != q.arity:
@@ -94,22 +111,10 @@ def apply_D(f: Poly, g: Poly) -> Poly:
     """f(D) g: substitute d/dz_i for z_i in f, apply the operator to g."""
     if f.arity != g.arity:
         raise ValueError("arity mismatch")
-    out: dict = {}
-    for s, cf in f.terms.items():
-        for e, cg in g.terms.items():
-            factor = 1
-            for ei, si in zip(e, s):
-                if ei < si:
-                    factor = 0
-                    break
-                if si:
-                    factor *= math.perm(ei, si)
-            if not factor:
-                continue
-            key = tuple(ei - si for ei, si in zip(e, s))
-            c = cf * cg * factor
-            out[key] = c if key not in out else out[key] + c
-    return Poly._raw(f.arity, {m: c for m, c in out.items() if c})
+    total = Poly.zero(f.arity)
+    for s, c in f.terms.items():
+        total = total + partial_multi(g, s).scale(c)
+    return total
 
 
 def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
@@ -298,27 +303,28 @@ class PolyMatrix:
         return f"PolyMatrix({body})"
 
 
+def cofactor_det(rows: Sequence[Sequence], zero):
+    """Determinant of a nonempty square matrix over any ring, by cofactor expansion.
+
+    Entries need +, -, * and is_zero(); fine at the ranks used here.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    total = zero
+    for j, top in enumerate(rows[0]):
+        if top.is_zero():
+            continue
+        piece = top * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]], zero)
+        total = total + piece if j % 2 == 0 else total - piece
+    return total
+
+
 def poly_det(matrix: PolyMatrix) -> Poly:
-    """Determinant by cofactor expansion; fine at the ranks used here."""
+    """Determinant by cofactor expansion."""
     n, m = matrix.shape
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-
-    def minor_det(rows: List[List[Poly]]) -> Poly:
-        size = len(rows)
-        if size == 1:
-            return rows[0][0]
-        total = Poly.zero(matrix.arity)
-        for j in range(size):
-            top = rows[0][j]
-            if top.is_zero():
-                continue
-            sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-            piece = top * minor_det(sub)
-            total = total + piece if j % 2 == 0 else total - piece
-        return total
-
-    return minor_det(matrix.rows)
+    return cofactor_det(matrix.rows, Poly.zero(matrix.arity))
 
 
 # -- composite operators -----------------------------------------------------

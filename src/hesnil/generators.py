@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .gaussrat import GaussianRational, ScalarLike, gr
 from .poly import Poly
-from .diffops import PolyMatrix, PolyVector, jacobian
+from .diffops import PolyMatrix, PolyVector, cofactor_det, jacobian
 from .nilpotency import is_hn, trace_powers
 
 Vector = Tuple[GaussianRational, ...]
@@ -216,18 +216,7 @@ def scalar_det(rows: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
             raise ValueError("matrix must be square")
     if k == 0:
         return GaussianRational(1)
-    if k == 1:
-        return rows[0][0]
-    total = GaussianRational(0)
-    sign = 1
-    for j in range(k):
-        pivot = rows[0][j]
-        if not pivot.is_zero():
-            minor = [[row[c] for c in range(k) if c != j] for row in rows[1:]]
-            term = pivot * scalar_det(minor)
-            total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
+    return cofactor_det(rows, GaussianRational(0))
 
 
 @dataclass(frozen=True)

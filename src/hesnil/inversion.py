@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .diffops import PolyVector, grad_pair, laplacian, laplacian_iter, partial
+from .diffops import PolyVector, grad_pair, laplacian, laplacian_powers_table, partial
 from .gaussrat import GaussianRational, ScalarLike
 from .nilpotency import is_hn
 from .poly import Poly, exp_truncated
@@ -139,11 +139,9 @@ def invert_closed(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deforme
     if t_order < 1:
         raise ValueError("t_order must be at least 1")
     slots = []
-    power = Poly.one(p.arity)
-    for m in range(1, t_order + 1):
-        power = power * p
+    for m, row in enumerate(laplacian_powers_table(p, t_order - 1, (1,))[0], start=1):
         c = Fraction(1, (2 ** (m - 1)) * math.factorial(m) * math.factorial(m - 1))
-        q_m = laplacian_iter(power, m - 1).scale(c)
+        q_m = row.scale(c)
         if z_cap is not None:
             q_m = q_m.truncate(z_cap)
         slots.append(q_m)
@@ -394,12 +392,9 @@ def qt_power(p: Poly, k: int, t_order: int, z_cap: Optional[int] = None) -> TGra
     if k < 1:
         raise ValueError("k must be at least 1")
     slots = []
-    power = p ** k
-    for m in range(t_order):
-        if m:
-            power = power * p
+    for m, row in enumerate(laplacian_powers_table(p, t_order - 1, (k,))[0]):
         c = Fraction(math.factorial(k), (2 ** m) * math.factorial(m) * math.factorial(m + k))
-        slots.append(laplacian_iter(power, m).scale(c))
+        slots.append(row.scale(c))
     out = TGraded(p.arity, slots, t_order, None)
     return out.truncate_z(z_cap) if z_cap is not None else out
 
@@ -446,12 +441,12 @@ def binomial_identity_check(p: Poly, alpha: int, beta: int, m: int) -> Tuple[Pol
     """
     if alpha < 1 or beta < 1 or m < 0:
         raise ValueError("need alpha >= 1, beta >= 1, m >= 0")
-    lhs = laplacian_iter(p ** (m + alpha + beta), m)
+    rows_a, rows_b, rows_ab = laplacian_powers_table(p, m, (alpha, beta, alpha + beta))
+    lhs = rows_ab[m]
     rhs = Poly.zero(p.arity)
     for k in range(m + 1):
         l = m - k
         w = math.comb(m, k) * math.comb(m + alpha + beta, k + alpha)
-        piece = laplacian_iter(p ** (k + alpha), k) * laplacian_iter(p ** (l + beta), l)
-        rhs = rhs + piece.scale(w)
+        rhs = rhs + (rows_a[k] * rows_b[l]).scale(w)
     rhs = rhs.scale(Fraction(1, math.comb(alpha + beta, alpha)))
     return lhs, rhs

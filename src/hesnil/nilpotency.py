@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .diffops import hessian, laplacian_iter
+from .diffops import hessian, laplacian_powers_table
 from .poly import Poly, format_poly
 
 
@@ -39,12 +39,7 @@ def laplacian_powers(p: Poly, max_m: Optional[int] = None) -> List[Poly]:
         max_m = p.arity
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
-    out = []
-    power = Poly.one(p.arity)
-    for m in range(1, max_m + 1):
-        power = power * p
-        out.append(laplacian_iter(power, m))
-    return out
+    return laplacian_powers_table(p, max_m, (0,))[0][1:]
 
 
 @dataclass(frozen=True)

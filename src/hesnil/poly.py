@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .gaussrat import GaussianRational, ScalarLike
 
@@ -218,19 +218,7 @@ class Poly:
         if len(point) != self.arity:
             raise ValueError(f"point has {len(point)} coordinates, need {self.arity}")
         vals = [GaussianRational.coerce(v) for v in point]
-        powers: list = [{0: GaussianRational(1)} for _ in range(self.arity)]
-        total = GaussianRational(0)
-        for mono, coeff in self.terms.items():
-            prod = coeff
-            for j, e in enumerate(mono):
-                if not e:
-                    continue
-                cache = powers[j]
-                if e not in cache:
-                    cache[e] = vals[j] ** e
-                prod = prod * cache[e]
-            total = total + prod
-        return total
+        return substitute(self, vals, lambda c: c, GaussianRational(0))
 
     def truncate(self, max_degree: int) -> "Poly":
         """Drop every term of total degree greater than max_degree."""
@@ -272,19 +260,8 @@ class Poly:
             if shift is not None:
                 img = img + Poly.constant(new_arity, shift[j])
             images.append(img)
-        powers: list = [{0: Poly.one(new_arity)} for _ in range(self.arity)]
-        total = Poly.zero(new_arity)
-        for mono, coeff in self.terms.items():
-            prod = Poly.constant(new_arity, coeff)
-            for j, e in enumerate(mono):
-                if not e:
-                    continue
-                cache = powers[j]
-                if e not in cache:
-                    cache[e] = images[j] ** e
-                prod = prod * cache[e]
-            total = total + prod
-        return total
+        return substitute(self, images, lambda c: Poly.constant(new_arity, c),
+                          Poly.zero(new_arity))
 
     # -- display -----------------------------------------------------------
 
@@ -296,6 +273,27 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.arity}, {format_poly(self)!r})"
+
+
+def substitute(p: Poly, images: Sequence, lift: Callable, zero):
+    """sum of lift(c) * prod_j images[j]^e_j over the terms c z^e of p.
+
+    Works in any ring whose elements support *, + and **; each power of an
+    image is formed once and shared by every term that uses it.
+    """
+    powers: list = [{} for _ in images]
+    total = zero
+    for mono, coeff in p.terms.items():
+        prod = lift(coeff)
+        for j, e in enumerate(mono):
+            if not e:
+                continue
+            cache = powers[j]
+            if e not in cache:
+                cache[e] = images[j] ** e
+            prod = prod * cache[e]
+        total = total + prod
+    return total
 
 
 # -- exponential truncation ------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .gaussrat import GaussianRational, ScalarLike
-from .poly import Poly, exp_truncated
+from .poly import Poly, exp_truncated, substitute
 
 
 def _min_cap(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -213,19 +213,7 @@ def compose_poly(
     arity = values[0].arity
     one = TGraded.from_poly(Poly.one(arity), t_order, z_trunc)
     vals = [v.truncate_t(min(v.t_order, t_order)) for v in values]
-    powers: list = [{0: one} for _ in range(p.arity)]
-    total = TGraded.zero(arity, t_order, z_trunc)
-    for mono, coeff in p.terms.items():
-        prod = one.scale(coeff)
-        for j, e in enumerate(mono):
-            if not e:
-                continue
-            cache = powers[j]
-            if e not in cache:
-                cache[e] = vals[j] ** e
-            prod = prod * cache[e]
-        total = total + prod
-    return total
+    return substitute(p, vals, one.scale, TGraded.zero(arity, t_order, z_trunc))
 
 
 def exp_tgraded(a: TGraded, z_trunc: Optional[int] = None) -> TGraded:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussrat import GaussianRational
 from .poly import Poly, format_poly
-from .diffops import PolyVector, apply_D, grad, laplacian_iter, sigma_squared
+from .diffops import PolyVector, apply_D, grad, laplacian_powers_table, sigma_squared
 from .nilpotency import is_hn
 from .inversion import deg_t as pair_deg_t, invert_general
 from .generators import (
@@ -46,7 +46,9 @@ class ConfigError(ValueError):
     """The experiment configuration is invalid."""
 
 
-GENERATOR_KINDS = ("w", "wtilde", "ug", "pg", "ph")
+# the generator params each kind accepts
+_PARAM_KEYS = {"w": {"count"}, "wtilde": {"counts"}, "ug": {"k"}, "pg": set(), "ph": set()}
+GENERATOR_KINDS = tuple(_PARAM_KEYS)
 
 # window width for the eventual-vanishing consistency check
 CONSISTENCY_WINDOW = 3
@@ -109,11 +111,10 @@ class ExperimentConfig:
         if set(gen) - {"kind", "params"}:
             raise ConfigError("generator accepts only 'kind' and 'params'")
         kind = gen["kind"]
-        if kind not in GENERATOR_KINDS:
-            raise ConfigError(f"unknown generator kind: {kind!r}")
         params = gen.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("generator params must be an object")
+        _member_params(n, d, kind, params)
         trials = data["trials"]
         if not isinstance(trials, int) or trials < 0:
             raise ConfigError("trials must be a nonnegative integer")
@@ -207,32 +208,65 @@ def _format_vector(vec) -> str:
     return "(" + ", ".join(str(c) for c in vec) + ")"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _member_params(n: int, d: int, kind: str, params: dict) -> dict:
+    """The generator params of kind, checked against n, with defaults filled in."""
+    if kind not in GENERATOR_KINDS:
+        raise ConfigError(f"unknown generator kind: {kind!r}")
+    unknown = set(params) - _PARAM_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"unknown {kind} params: {sorted(unknown)}")
+    if kind in ("pg", "ph") and n % 2:
+        raise ConfigError(f"{kind} needs an even number of variables")
+    if kind == "ph" and n < 4:
+        raise ConfigError("ph needs at least four variables")
+    half = n // 2
+    if kind == "w":
+        count = params.get("count", max(1, half))
+        if not _is_int(count) or not 0 <= count <= half:
+            raise ConfigError(
+                f"w needs an integer count with 0 <= count <= n // 2, got {count!r} with n={n}")
+        return {"count": count}
+    if kind == "wtilde":
+        # one vector per degree from the top down, as many as fit in C^n
+        k = min(d - 1, half)
+        counts = params.get("counts", [0] * (d - 1 - k) + [1] * k)
+        if (not isinstance(counts, list) or not counts
+                or not all(_is_int(c) and c >= 0 for c in counts)):
+            raise ConfigError(
+                f"wtilde counts must be a nonempty list of nonnegative integers, got {counts!r}")
+        if not 1 <= sum(counts) <= half:
+            raise ConfigError(
+                f"wtilde needs 1 <= sum(counts) <= n // 2, got {sum(counts)} with n={n}")
+        return {"counts": counts}
+    if kind == "ug":
+        k = params.get("k", min(2, half))
+        if not _is_int(k) or not 1 <= k <= half:
+            raise ConfigError(f"ug needs an integer k with 1 <= k <= n // 2, got {k!r} with n={n}")
+        return {"k": k}
+    return {}
+
+
 def build_member(n: int, d: int, kind: str, params: dict, trial_seed: int,
                  index: int = 0) -> Tuple[Poly, dict]:
     """Build a corpus member from an explicit per-member seed."""
+    params = _member_params(n, d, kind, params)
     ts = trial_seed
     rng = random.Random(ts)
     provenance: dict = {"kind": kind, "trial": index, "trial_seed": ts,
                         "n": n, "d": d}
 
     if kind == "w":
-        count = params.get("count", max(1, n // 2))
-        if count > n // 2:
-            raise ConfigError(f"w needs count <= n // 2, got count={count}, n={n}")
-        family = sample_isotropic(n, count, ts, pairwise_orthogonal=True)
+        family = sample_isotropic(n, params["count"], ts, pairwise_orthogonal=True)
         provenance["vectors"] = [_format_vector(v) for v in family]
         return w_construction(family, d), provenance
 
     if kind == "wtilde":
-        # one vector per degree from the top down, as many as fit in C^n
-        k = min(d - 1, n // 2)
-        counts = params.get("counts", [0] * (d - 1 - k) + [1] * k)
-        if not counts or any((not isinstance(c, int)) or c < 0 for c in counts):
-            raise ConfigError("wtilde counts must be nonnegative integers")
+        counts = params["counts"]
         total = sum(counts)
-        if total > n // 2 or total == 0:
-            raise ConfigError(
-                f"wtilde needs 1 <= sum(counts) <= n // 2, got {total} with n={n}")
         pool = sample_isotropic(n, total, ts, pairwise_orthogonal=True)
         sets, start = [], 0
         for c in counts:
@@ -243,9 +277,7 @@ def build_member(n: int, d: int, kind: str, params: dict, trial_seed: int,
         return w_tilde_construction(sets, max_degree=d), provenance
 
     if kind == "ug":
-        k = params.get("k", min(2, n // 2))
-        if k < 1 or k > n // 2:
-            raise ConfigError(f"ug needs 1 <= k <= n // 2, got k={k}, n={n}")
+        k = params["k"]
         betas = sample_isotropic(n, k, ts, pairwise_orthogonal=True)
         g = _random_homogeneous(rng, k, d)
         provenance["vectors"] = [_format_vector(v) for v in betas]
@@ -253,39 +285,31 @@ def build_member(n: int, d: int, kind: str, params: dict, trial_seed: int,
         return ug_construction(g, betas), provenance
 
     if kind == "pg":
-        if n % 2:
-            raise ConfigError("pg needs an even number of variables")
         half = n // 2
         g = _random_homogeneous(rng, half, d)
         provenance["inner"] = format_poly(g)
         return pg_construction(g), provenance
 
-    if kind == "ph":
-        if n % 2:
-            raise ConfigError("ph needs an even number of variables")
-        half = n // 2
-        if half < 2:
-            raise ConfigError("ph needs at least four variables")
-        components = []
-        for i in range(half):
-            if i == half - 1:
-                components.append(Poly.zero(half))
-            elif i == 0:
-                components.append(_random_homogeneous(rng, half, d - 1,
-                                                      terms=2, offset=i + 1))
-            elif rng.random() < 0.5:
-                components.append(_random_homogeneous(rng, half, d - 1,
-                                                      terms=2, offset=i + 1))
-            else:
-                components.append(Poly.zero(half))
-        h = PolyVector(components)
-        p, nilpotent = ph_construction(h)
-        if not nilpotent:
-            raise TheoremCheckError("triangular map produced a non-nilpotent Jacobian")
-        provenance["map"] = [format_poly(c) for c in components]
-        return p, provenance
-
-    raise ConfigError(f"unknown generator kind: {kind!r}")
+    # ph
+    half = n // 2
+    components = []
+    for i in range(half):
+        if i == half - 1:
+            components.append(Poly.zero(half))
+        elif i == 0:
+            components.append(_random_homogeneous(rng, half, d - 1,
+                                                  terms=2, offset=i + 1))
+        elif rng.random() < 0.5:
+            components.append(_random_homogeneous(rng, half, d - 1,
+                                                  terms=2, offset=i + 1))
+        else:
+            components.append(Poly.zero(half))
+    h = PolyVector(components)
+    p, nilpotent = ph_construction(h)
+    if not nilpotent:
+        raise TheoremCheckError("triangular map produced a non-nilpotent Jacobian")
+    provenance["map"] = [format_poly(c) for c in components]
+    return p, provenance
 
 
 def _annihilated(ops: Sequence[Tuple[str, Poly]],
@@ -359,11 +383,7 @@ def _vanishing_flags(p: Poly, top: int, extra: int) -> List[List[Poly]]:
     The vanishing flags are its zero tests; each trial forms it once and
     reads every other power and iterated Laplacian it checks from it.
     """
-    powers = [p]
-    for _ in range(top + extra):
-        powers.append(powers[-1] * p)
-    return [[laplacian_iter(powers[m + j], m) for m in range(top + 1)]
-            for j in range(extra + 1)]
+    return laplacian_powers_table(p, top, range(1, extra + 2))
 
 
 def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[str]]:

@@ -184,6 +184,15 @@ def test_vanishing_config_errors(tmp_path):
     assert result.exit_code != 0
     assert "unknown config keys" in result.stderr
 
+    bad_param = write(tmp_path / "bad_param.json",
+                      json.dumps({"n": 4, "d": 3,
+                                  "generator": {"kind": "w", "params": {"count": "2"}},
+                                  "trials": 1, "seed": 0, "t_order": 3}))
+    result = runner.invoke(main, ["vanishing", "--config", bad_param])
+    assert result.exit_code == 1
+    assert "Error: w needs an integer count" in result.stderr
+    assert "Traceback" not in result.stderr
+
 
 def test_help_lists_commands():
     result = CliRunner().invoke(main, ["--help"])

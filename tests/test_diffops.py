@@ -28,8 +28,11 @@ from hesnil import (
     poly_det,
     sigma_squared,
     Poly,
+    build_member,
+    is_hn,
 )
-from conftest import random_poly
+from hesnil.diffops import laplacian_powers_table
+from conftest import random_order2_poly, random_poly
 
 
 def test_partial_basic():
@@ -53,6 +56,20 @@ def test_laplacian_values():
     assert laplacian(parse("(z1+i*z2)^4")).is_zero()
     assert laplacian_iter(parse("z1^4"), 2) == parse("24", arity=1)
     assert laplacian_iter(parse("z1^4"), 0) == parse("z1^4")
+
+
+@pytest.mark.parametrize("member", ["ph n=6 d=3", "random non-HN"])
+def test_laplacian_powers_table_matches_binary_powers(member):
+    if member == "ph n=6 d=3":
+        p, _ = build_member(6, 3, "ph", {}, 1)
+    else:
+        p = random_order2_poly(random.Random(5), 3, 3)
+        assert not is_hn(p).is_hn
+    offsets = (0, 1, 2)
+    rows = laplacian_powers_table(p, 3, offsets)
+    # Poly.__pow__ powers by squaring, an independent route to each P^{m+k}
+    assert rows == [[laplacian_iter(p ** (m + k), m) for m in range(4)] for k in offsets]
+    assert not rows[1][3].is_zero()
 
 
 def test_second_iterated_laplacian_of_squared_cubic():

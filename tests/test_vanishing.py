@@ -99,6 +99,13 @@ def test_config_validation_errors():
     reject({"format": "xml"})
     reject({"out": 7})
     reject({"parallelism": 0})
+    for kind, params in (("w", {"count": "2"}), ("w", {"count": 1.0}), ("ug", {"k": True}),
+                         ("pg", {"cuont": 2}), ("ph", {"k": 1}), ("w", {"counts": [1]}),
+                         ("wtilde", {"counts": 1}), ("wtilde", {"counts": [1, False]}),
+                         ("ug", {"k": 3})):
+        reject({"generator": {"kind": kind, "params": params}})
+    reject({"n": 5, "generator": {"kind": "pg"}})
+    reject({"n": 2, "generator": {"kind": "ph"}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict([])
     # derived t_order would be 14; force an explicit choice instead
@@ -122,6 +129,11 @@ def test_build_member_errors():
         build_member(2, 3, "ph", {}, 1)
     with pytest.raises(ConfigError):
         build_member(4, 3, "mystery", {}, 1)
+    for kind, params in (("w", {"count": "2"}), ("w", {"count": -1}), ("ug", {"k": True}),
+                         ("pg", {"cuont": 2}), ("wtilde", {"counts": (1,)}),
+                         ("wtilde", {"counts": [True]})):
+        with pytest.raises(ConfigError, match=kind):
+            build_member(4, 3, kind, params, 1)
 
 
 def test_build_member_provenance_schema():
