@@ -172,10 +172,6 @@ class PolyVector:
         self.arity = arity
         self.entries = entries
 
-    @classmethod
-    def coordinates(cls, arity: int) -> "PolyVector":
-        return cls([Poly.variable(i, arity) for i in range(arity)])
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -367,8 +363,8 @@ def leibniz_identity_check(p: Poly, m: int) -> Tuple[Poly, Poly]:
     """Both sides of Delta p^{m+1} = (m+1) p^m Delta p + m(m+1) p^{m-1} <grad p, grad p>."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    lhs = laplacian(p ** (m + 1))
-    rhs = (p ** m * laplacian(p)).scale(m + 1) + (p ** (m - 1) * grad_pair(p, p)).scale(m * (m + 1))
+    p_m, lhs = laplacian_powers_table(p, 1, (m,))[0]
+    rhs = (p_m * laplacian(p)).scale(m + 1) + (p ** (m - 1) * grad_pair(p, p)).scale(m * (m + 1))
     return lhs, rhs
 
 

@@ -360,7 +360,7 @@ def exp_tilde_check(
     tilde = TGraded(n, [Poly.zero(n)] + list(pair.q.coeffs[1:]), m_top, pair.q.z_trunc)
     lhs = exp_tgraded(tilde, z_cap)
     dp = [partial(p, i) for i in range(n)]
-    dp2 = laplacian(p * p)
+    dp2 = laplacian_powers_table(p, 1, (1,))[0][1]
 
     def op(f: Poly) -> Poly:
         out = laplacian(f).scale(Fraction(1, 2))

@@ -32,10 +32,6 @@ def mono_degree(mono: Monomial) -> int:
     return sum(mono)
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def grlex_key(mono: Monomial):
     return (mono_degree(mono), mono)
 

@@ -50,11 +50,6 @@ class ConfigError(ValueError):
 _PARAM_KEYS = {"w": {"count"}, "wtilde": {"counts"}, "ug": {"k"}, "pg": set(), "ph": set()}
 GENERATOR_KINDS = tuple(_PARAM_KEYS)
 
-# window width for the eventual-vanishing consistency check
-CONSISTENCY_WINDOW = 3
-# the second tested vanishing offset: Delta^m P^{m+k0}
-CONSISTENCY_K0 = 2
-
 # t_order defaults to bound + 2 only while that stays affordable
 AFFORDABLE_T_ORDER = 10
 
@@ -77,7 +72,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     t_order: int
-    z_degree: int
     out: Optional[str] = None
     format: str = "json"
     parallelism: int = 1
@@ -87,13 +81,12 @@ class ExperimentConfig:
         """Validate and normalize the JSON config schema.
 
         Required: n, d, generator{kind, params}, trials, seed.  t_order
-        defaults to bound + 2 when that is affordable; z_degree defaults to
-        the exact window budget t_order*(d-2) + 2.
+        defaults to bound + 2 when that is affordable.
         """
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         allowed = {"n", "d", "generator", "trials", "seed", "t_order",
-                   "z_degree", "out", "format", "parallelism"}
+                   "out", "format", "parallelism"}
         unknown = set(data) - allowed
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -101,9 +94,9 @@ class ExperimentConfig:
             if key not in data:
                 raise ConfigError(f"missing config key: {key}")
         n, d = data["n"], data["d"]
-        if not isinstance(n, int) or n < 2:
+        if not _is_int(n) or n < 2:
             raise ConfigError("n must be an integer >= 2")
-        if not isinstance(d, int) or d < 2:
+        if not _is_int(d) or d < 2:
             raise ConfigError("d must be an integer >= 2")
         gen = data["generator"]
         if not isinstance(gen, dict) or "kind" not in gen:
@@ -116,10 +109,10 @@ class ExperimentConfig:
             raise ConfigError("generator params must be an object")
         _member_params(n, d, kind, params)
         trials = data["trials"]
-        if not isinstance(trials, int) or trials < 0:
+        if not _is_int(trials) or trials < 0:
             raise ConfigError("trials must be a nonnegative integer")
         seed = data["seed"]
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ConfigError("seed must be an integer")
         t_order = data.get("t_order")
         if t_order is None:
@@ -129,13 +122,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     "derived t_order exceeds the affordable default; set t_order explicitly")
             t_order = candidate
-        if not isinstance(t_order, int) or t_order < 1:
+        if not _is_int(t_order) or t_order < 1:
             raise ConfigError("t_order must be a positive integer")
-        exact_budget = t_order * (d - 2) + 2
-        z_degree = data.get("z_degree", exact_budget)
-        if not isinstance(z_degree, int) or z_degree < exact_budget:
-            raise ConfigError(
-                f"z_degree must be an integer >= {exact_budget} so windows stay exact")
         fmt = data.get("format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
@@ -143,11 +131,11 @@ class ExperimentConfig:
         if out is not None and not isinstance(out, str):
             raise ConfigError("out must be a path string")
         parallelism = data.get("parallelism", 1)
-        if not isinstance(parallelism, int) or parallelism < 1:
+        if not _is_int(parallelism) or parallelism < 1:
             raise ConfigError("parallelism must be a positive integer")
         return cls(n=n, d=d, generator_kind=kind, generator_params=dict(params),
-                   trials=trials, seed=seed, t_order=t_order, z_degree=z_degree,
-                   out=out, format=fmt, parallelism=parallelism)
+                   trials=trials, seed=seed, t_order=t_order, out=out, format=fmt,
+                   parallelism=parallelism)
 
 
 @dataclass(frozen=True)
@@ -355,7 +343,7 @@ def isotropy_check(p: Poly, d: int, m_max: int) -> Dict[Tuple[str, int], bool]:
         raise ValueError("P must be Hessian-nilpotent")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    return _annihilated(_ideal_ops(p), _vanishing_flags(p, m_max, 0)[0])
+    return _annihilated(_ideal_ops(p), _vanishing_flags(p, m_max)[0])
 
 
 def pd_qt_check(p: Poly, big_m: int) -> bool:
@@ -374,16 +362,17 @@ def pd_qt_check(p: Poly, big_m: int) -> bool:
     if not report.is_hn:
         raise ValueError("P must be Hessian-nilpotent")
     top = big_m if d == 2 else max(big_m - 1, 2)
-    return _pd_pass(p, d, _vanishing_flags(p, top, 0)[0], p * p, big_m)
+    return _pd_pass(p, d, *_vanishing_flags(p, top), big_m)
 
 
-def _vanishing_flags(p: Poly, top: int, extra: int) -> List[List[Poly]]:
-    """The window W[j][m] = Delta^m P^{m+1+j} for m = 0..top, j = 0..extra.
+def _vanishing_flags(p: Poly, top: int) -> Tuple[List[Poly], Poly]:
+    """The window W[m] = Delta^m P^{m+1} for m = 0..top, and P^2.
 
-    The vanishing flags are its zero tests; each trial forms it once and
-    reads every other power and iterated Laplacian it checks from it.
+    The vanishing flags are the zero tests of W[1..]; each trial forms the
+    window once and reads every other power and iterated Laplacian it
+    checks from it, apart from P^2, which the P(D) spot checks need.
     """
-    return laplacian_powers_table(p, top, range(1, extra + 2))
+    return laplacian_powers_table(p, top, (1,))[0], p * p
 
 
 def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[str]]:
@@ -400,25 +389,13 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
         failures.append(f"{tag}: generator produced a non-HN polynomial")
 
     # the spot checks of _pd_pass read the window up to m = 2
-    window = _vanishing_flags(p, max(big_m, 2), CONSISTENCY_K0 - 1)
-    flags = [w.is_zero() for w in window[0][1:big_m + 1]]
-    offset_flags = [w.is_zero() for w in window[CONSISTENCY_K0 - 1][1:big_m + 1]]
+    window, p2 = _vanishing_flags(p, max(big_m, 2))
+    flags = [w.is_zero() for w in window[1:big_m + 1]]
 
     nonzero = [m for m in range(1, big_m + 1) if not flags[m - 1]]
     degree_t = max(nonzero) if nonzero else 0
 
     if hn:
-        # eventual-vanishing consistency: a clean trailing window at offset
-        # k0 forces a clean shifted window at offset 1
-        window_ms = range(max(1, big_m - CONSISTENCY_WINDOW), big_m + 1)
-        if all(offset_flags[m - 1] for m in window_ms):
-            for m in window_ms:
-                shifted = m + CONSISTENCY_K0 - 1
-                if shifted <= big_m and not flags[shifted - 1]:
-                    failures.append(
-                        f"{tag}: offset-{CONSISTENCY_K0} window vanishes but "
-                        f"Delta^{shifted} P^{shifted + 1} != 0")
-
         # the gradient recurrence, which does not assume HN, must see the
         # same top degree in t
         inv_deg = pair_deg_t(invert_general(p, big_m + 1))
@@ -429,9 +406,9 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     d_actual = p.is_homogeneous()
     isotropy: Optional[Dict[str, Optional[bool]]] = None
     if hn and d_actual is not None and d_actual >= 2:
-        pd_ok = _pd_pass(p, d_actual, window[0], window[1][0], min(big_m, 4))
+        pd_ok = _pd_pass(p, d_actual, window, p2, min(big_m, 4))
         if d_actual >= 3:
-            ideal = _annihilated(_ideal_ops(p), window[0][:min(big_m, 3) + 1])
+            ideal = _annihilated(_ideal_ops(p), window[:min(big_m, 3) + 1])
             ideal_ok = all(ideal.values())
             isotropy = {"derivative_ideal": ideal_ok, "pd_on_q": pd_ok}
             if not ideal_ok:

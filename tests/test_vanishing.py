@@ -65,16 +65,15 @@ def test_alpha_bound_table():
 def test_config_defaults():
     cfg = ExperimentConfig.from_dict(
         {"n": 3, "d": 4, "generator": {"kind": "w"}, "trials": 1, "seed": 0})
-    # bound is 3, so t_order defaults to 5 and z_degree to 5*2 + 2
+    # bound is 3, so t_order defaults to 5
     assert cfg.t_order == 5
-    assert cfg.z_degree == 12
     assert cfg.format == "json"
     assert cfg.out is None
     assert cfg.parallelism == 1
     assert cfg.generator_params == {}
     d2 = ExperimentConfig.from_dict(
         {"n": 4, "d": 2, "generator": {"kind": "w"}, "trials": 1, "seed": 0})
-    assert d2.t_order == 4 and d2.z_degree == 2
+    assert d2.t_order == 4
 
 
 def test_config_validation_errors():
@@ -99,6 +98,9 @@ def test_config_validation_errors():
     reject({"format": "xml"})
     reject({"out": 7})
     reject({"parallelism": 0})
+    # a bool is not an int
+    for key in ("trials", "seed", "t_order", "parallelism"):
+        reject({key: True})
     for kind, params in (("w", {"count": "2"}), ("w", {"count": 1.0}), ("ug", {"k": True}),
                          ("pg", {"cuont": 2}), ("ph", {"k": 1}), ("w", {"counts": [1]}),
                          ("wtilde", {"counts": 1}), ("wtilde", {"counts": [1, False]}),
@@ -289,6 +291,7 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     depth = [0]
     hn_calls = []
     stray = []
+    product_degrees = []
 
     def allowed(fn):
         def inner(*args, **kwargs):
@@ -315,8 +318,11 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     poly_mul = Poly.__mul__
 
     def watched_mul(a, b):
-        if not depth[0] and isinstance(b, Poly) and (a == p or b == p):
-            stray.append(("power", a.degree() + b.degree()))
+        if isinstance(b, Poly) and (a == p or b == p):
+            degree = a.degree() + b.degree()
+            product_degrees.append(degree)
+            if not depth[0]:
+                stray.append(("power", degree))
         return poly_mul(a, b)
 
     _rebind_everywhere(monkeypatch, hesnil.nilpotency.is_hn, counting_is_hn)
@@ -330,6 +336,9 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     assert report.isotropy_pass == {"derivative_ideal": True, "pd_on_q": True}
     assert len(hn_calls) == 1 and hn_calls[0] == p
     assert stray == []
+    # the window reaches P^{max(M,2)+1} and is_hn P^n; nothing forms a higher power
+    top_power = max(max(cfg.t_order, 2) + 1, cfg.n)
+    assert product_degrees and max(product_degrees) <= cfg.d * top_power
 
 
 class _RecordingPool:
