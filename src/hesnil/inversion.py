@@ -108,9 +108,7 @@ def invert_hn(p: Poly, t_order: int, z_cap: Optional[int] = None) -> DeformedPai
         raise ValueError("t_order must be at least 1")
 
     def cap_for(m: int) -> Optional[int]:
-        if z_cap is None:
-            return None
-        return z_cap + 2 * (t_order - m)
+        return None if z_cap is None else z_cap + 2 * (t_order - m)
 
     slots = [p if z_cap is None else p.truncate(cap_for(1))]
     for m in range(2, t_order + 1):
@@ -124,8 +122,6 @@ def invert_hn(p: Poly, t_order: int, z_cap: Optional[int] = None) -> DeformedPai
         if cap is not None:
             q_m = q_m.truncate(cap)
         slots.append(q_m)
-    if z_cap is not None:
-        slots = [s.truncate(z_cap) for s in slots]
     return _pair(p, slots, z_cap, "hn_recurrence")
 
 
@@ -138,14 +134,18 @@ def invert_closed(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deforme
     _require_hn(p, "invert_closed")
     if t_order < 1:
         raise ValueError("t_order must be at least 1")
-    slots = []
-    for m, row in enumerate(laplacian_powers_table(p, t_order - 1, (1,))[0], start=1):
-        c = Fraction(1, (2 ** (m - 1)) * math.factorial(m) * math.factorial(m - 1))
-        q_m = row.scale(c)
-        if z_cap is not None:
-            q_m = q_m.truncate(z_cap)
-        slots.append(q_m)
-    return _pair(p, slots, z_cap, "closed_form")
+    return _pair(p, _power_slots(p, 1, t_order), z_cap, "closed_form")
+
+
+def _power_slots(p: Poly, k: int, t_order: int) -> List[Poly]:
+    """k! Delta^m P^{m+k} / (2^m m! (m+k)!) for m < t_order: the t^m slots of Q_t^k.
+
+    At k = 1 slot m is Q_[m+1], so invert_closed and qt_power share it.
+    """
+    rows = laplacian_powers_table(p, t_order - 1, (k,))[0]
+    # k! / (m! (m+k)!) = 1 / (m! perm(m+k, m))
+    return [row.scale(Fraction(1, 2 ** m * math.factorial(m) * math.perm(m + k, m)))
+            for m, row in enumerate(rows)]
 
 
 def invert_fixed_point(p: Poly, t_order: int, z_cap: Optional[int] = None) -> List[PolyVector]:
@@ -340,8 +340,7 @@ def exp_formula_check(
             term = laplacian(term)
         c = (GaussianRational(1) / ((2 * s) ** k)) * Fraction(1, math.factorial(k))
         slots.append(term.truncate(z_cap).scale(c))
-    rhs = TGraded(p.arity, slots, m_top, z_cap)
-    return lhs, rhs
+    return lhs, TGraded(p.arity, slots, m_top, z_cap)
 
 
 def exp_tilde_check(
@@ -375,11 +374,7 @@ def exp_tilde_check(
         if z_cap is not None:
             f = f.truncate(z_cap + 2 * (m_top - 1 - k))
         slots.append(f.scale(Fraction(1, math.factorial(k))))
-    rhs = TGraded(n, slots, m_top, z_cap)
-    if z_cap is not None:
-        lhs = lhs.truncate_z(z_cap)
-        rhs = rhs.truncate_z(z_cap)
-    return lhs, rhs
+    return lhs, TGraded(n, slots, m_top, z_cap)
 
 
 def qt_power(p: Poly, k: int, t_order: int, z_cap: Optional[int] = None) -> TGraded:
@@ -391,12 +386,7 @@ def qt_power(p: Poly, k: int, t_order: int, z_cap: Optional[int] = None) -> TGra
     _require_hn(p, "qt_power")
     if k < 1:
         raise ValueError("k must be at least 1")
-    slots = []
-    for m, row in enumerate(laplacian_powers_table(p, t_order - 1, (k,))[0]):
-        c = Fraction(math.factorial(k), (2 ** m) * math.factorial(m) * math.factorial(m + k))
-        slots.append(row.scale(c))
-    out = TGraded(p.arity, slots, t_order, None)
-    return out.truncate_z(z_cap) if z_cap is not None else out
+    return TGraded(p.arity, _power_slots(p, k, t_order), t_order, z_cap)
 
 
 def power_flow_check(pair: DeformedPair, k: int, m: int) -> Tuple[TGraded, TGraded]:

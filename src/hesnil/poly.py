@@ -471,32 +471,19 @@ def _var_name(index: int, arity: int, style: str) -> str:
     return f"z{index + 1}"
 
 
-def _frac_text(x: Fraction) -> str:
-    return str(x)
-
-
 def _coeff_body(c: GaussianRational) -> tuple:
     """Split a coefficient into (sign, text, is_unit) for term rendering.
 
-    sign is +1 or -1 and is pulled outside the term; text is the
-    grammar-compliant magnitude ('' when the magnitude is 1 and may be
-    omitted before a monomial).  Mixed re/im coefficients keep their sign
-    inside a parenthesized block and report sign +1.
+    sign is +1 or -1 and is pulled outside the term; text is str of the
+    magnitude ('' when the magnitude is 1 and may be omitted before a
+    monomial).  Mixed re/im coefficients keep their sign inside a
+    parenthesized block and report sign +1.
     """
-    if not c.im:
-        sign = 1 if c.re > 0 else -1
-        mag = abs(c.re)
-        return sign, ("" if mag == 1 else _frac_text(mag)), mag == 1
-    if not c.re:
-        sign = 1 if c.im > 0 else -1
-        mag = abs(c.im)
-        text = "i" if mag == 1 else f"{_frac_text(mag)}*i"
-        return sign, text, False
-    im = c.im
-    mid = "+" if im > 0 else "-"
-    mag = abs(im)
-    tail = "i" if mag == 1 else f"{_frac_text(mag)}*i"
-    return 1, f"({_frac_text(c.re)}{mid}{tail})", False
+    if c.re and c.im:
+        return 1, f"({c})", False
+    sign = 1 if (c.re or c.im) > 0 else -1
+    text = str(c if sign > 0 else -c)
+    return sign, ("" if text == "1" else text), text == "1"
 
 
 def format_poly(p: Poly, style: str = "z") -> str:

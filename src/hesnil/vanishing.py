@@ -16,7 +16,7 @@ import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,7 +25,7 @@ from .gaussrat import GaussianRational
 from .poly import Poly, format_poly
 from .diffops import PolyVector, apply_D, grad, laplacian_powers_table, sigma_squared
 from .nilpotency import is_hn
-from .inversion import deg_t as pair_deg_t, invert_general
+from .inversion import invert_general
 from .generators import (
     IsotropicSet,
     _SCALE_POOL,
@@ -151,15 +151,9 @@ class VanishingReport:
     isotropy_pass: Optional[Dict[str, Optional[bool]]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "hn_verdict": self.hn_verdict,
-            "vanishing_flags": list(self.vanishing_flags),
-            "deg_t": self.deg_t,
-            "bound": None if self.bound is None else str(self.bound),
-            "bound_respected": self.bound_respected,
-            "isotropy_pass": self.isotropy_pass,
-        }
+        out = asdict(self)
+        out["bound"] = None if self.bound is None else str(self.bound)
+        return out
 
 
 def _trial_seed(seed: int, index: int) -> int:
@@ -313,19 +307,18 @@ def _ideal_ops(p: Poly) -> List[Tuple[str, Poly]]:
         (f"partial_{i + 1}", dp) for i, dp in enumerate(grad(p))]
 
 
-def _pd_pass(p: Poly, d: int, w0: Sequence[Poly], p2: Poly, big_m: int) -> bool:
-    """The pd_qt_check verdict, read off w0[m] = Delta^m P^{m+1} and p2 = P^2.
+def _pd_pass(p: Poly, d: int, w0: Sequence[Poly], big_m: int) -> bool:
+    """The pd_qt_check verdict, read off w0[m] = Delta^m P^{m+1}.
 
     Q_[m] is Delta^{m-1} P^m times a nonzero constant, so P(D) Q_[m] = 0
-    exactly when P(D) w0[m-1] = 0; the spot checks of P on w0[0..2] are
-    among those and run once.
+    exactly when P(D) w0[m-1] = 0; the spot checks of P, and so of
+    (P^2)(D) = P(D)P(D), on w0[0..2] are among those and run once.
     """
     if d == 2:
         ops = [("P", p), ("sigma^2", sigma_squared(p.arity))]
         return all(_annihilated(ops, w0[:big_m + 1]).values())
-    spot_ops = [("P^2", p2), ("Delta P^2", w0[1])]
     return (all(_annihilated([("P", p)], w0[:max(big_m, 3)]).values())
-            and all(_annihilated(spot_ops, w0[:3]).values()))
+            and all(_annihilated([("Delta P^2", w0[1])], w0[:3]).values()))
 
 
 def isotropy_check(p: Poly, d: int, m_max: int) -> Dict[Tuple[str, int], bool]:
@@ -338,12 +331,11 @@ def isotropy_check(p: Poly, d: int, m_max: int) -> Dict[Tuple[str, int], bool]:
         raise ValueError("isotropy_check requires degree >= 3")
     if p.is_homogeneous() != d:
         raise ValueError("P must be homogeneous of the stated degree")
-    report = is_hn(p)
-    if not report.is_hn:
+    if not is_hn(p).is_hn:
         raise ValueError("P must be Hessian-nilpotent")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    return _annihilated(_ideal_ops(p), _vanishing_flags(p, m_max)[0])
+    return _annihilated(_ideal_ops(p), _vanishing_flags(p, m_max))
 
 
 def pd_qt_check(p: Poly, big_m: int) -> bool:
@@ -358,67 +350,65 @@ def pd_qt_check(p: Poly, big_m: int) -> bool:
     d = p.is_homogeneous()
     if d is None or d < 2:
         raise ValueError("P must be homogeneous of degree >= 2")
-    report = is_hn(p)
-    if not report.is_hn:
+    if not is_hn(p).is_hn:
         raise ValueError("P must be Hessian-nilpotent")
     top = big_m if d == 2 else max(big_m - 1, 2)
-    return _pd_pass(p, d, *_vanishing_flags(p, top), big_m)
+    return _pd_pass(p, d, _vanishing_flags(p, top), big_m)
 
 
-def _vanishing_flags(p: Poly, top: int) -> Tuple[List[Poly], Poly]:
-    """The window W[m] = Delta^m P^{m+1} for m = 0..top, and P^2.
+def _vanishing_flags(p: Poly, top: int) -> List[Poly]:
+    """The window W[m] = Delta^m P^{m+1} for m = 0..top.
 
-    The vanishing flags are the zero tests of W[1..]; each trial forms the
-    window once and reads every other power and iterated Laplacian it
-    checks from it, apart from P^2, which the P(D) spot checks need.
+    The vanishing flags are the zero tests of W[1..]; a trial forms it once
+    and reads every power and iterated Laplacian it checks from it.
     """
-    return laplacian_powers_table(p, top, (1,))[0], p * p
+    return laplacian_powers_table(p, top, (1,))[0]
 
 
 def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[str]]:
     """One corpus member: report plus any theorem-level failure messages."""
-    p, provenance = build_member(cfg.n, cfg.d, cfg.generator_kind, cfg.generator_params,
-                                 _trial_seed(cfg.seed, index), index)
+    ts = _trial_seed(cfg.seed, index)
+    p, provenance = build_member(cfg.n, cfg.d, cfg.generator_kind, cfg.generator_params, ts, index)
     big_m = cfg.t_order
     failures: List[str] = []
-    tag = f"trial {index} ({cfg.generator_kind})"
+    tag = f"trial {index} ({cfg.generator_kind}, trial_seed {ts})"
 
     # is_hn also cross-checks Delta^m P^m = 0 for m <= n against the traces
     hn = is_hn(p).is_hn
     if not hn:
-        failures.append(f"{tag}: generator produced a non-HN polynomial")
+        failures.append(f"{tag}, is_hn: generator produced a non-HN polynomial")
 
     # the spot checks of _pd_pass read the window up to m = 2
-    window, p2 = _vanishing_flags(p, max(big_m, 2))
+    window = _vanishing_flags(p, max(big_m, 2))
     flags = [w.is_zero() for w in window[1:big_m + 1]]
 
-    nonzero = [m for m in range(1, big_m + 1) if not flags[m - 1]]
-    degree_t = max(nonzero) if nonzero else 0
+    degree_t = max((m for m, zero in enumerate(flags, 1) if not zero), default=0)
 
     if hn:
-        # the gradient recurrence, which does not assume HN, must see the
-        # same top degree in t
-        inv_deg = pair_deg_t(invert_general(p, big_m + 1))
-        if inv_deg != degree_t:
-            failures.append(
-                f"{tag}: inversion deg_t {inv_deg} != window deg_t {degree_t}")
+        # Q_[m+1] is a nonzero multiple of Delta^m P^{m+1}, so the gradient
+        # recurrence, which does not assume HN, must see the same zeros
+        pair = invert_general(p, big_m + 1)
+        inv_flags = [pair.q_slot(m + 1).is_zero() for m in range(1, big_m + 1)]
+        if inv_flags != flags:
+            failures.append(f"{tag}, flag cross-check: invert_general zero pattern "
+                            f"{inv_flags} != window flags {flags}")
 
     d_actual = p.is_homogeneous()
     isotropy: Optional[Dict[str, Optional[bool]]] = None
     if hn and d_actual is not None and d_actual >= 2:
-        pd_ok = _pd_pass(p, d_actual, window, p2, min(big_m, 4))
+        pd_ok = _pd_pass(p, d_actual, window, min(big_m, 4))
         if d_actual >= 3:
             ideal = _annihilated(_ideal_ops(p), window[:min(big_m, 3) + 1])
             ideal_ok = all(ideal.values())
             isotropy = {"derivative_ideal": ideal_ok, "pd_on_q": pd_ok}
             if not ideal_ok:
-                failures.append(f"{tag}: derivative-ideal annihilation failed")
+                failures.append(f"{tag}, isotropy: derivative-ideal annihilation failed")
             if not pd_ok:
-                failures.append(f"{tag}: P(D) annihilation of Q coefficients failed")
+                failures.append(f"{tag}, P(D): annihilation of Q coefficients failed")
         else:
             isotropy = {"derivative_ideal": None, "pd_on_q": pd_ok}
             if not pd_ok:
-                failures.append(f"{tag}: degree-2 annihilation variant failed")
+                failures.append(f"{tag}, P(D): degree-2 annihilation variant failed")
 
     if cfg.d >= 3:
         bound: Optional[Fraction] = alpha_bound(cfg.n, cfg.d)
@@ -512,13 +502,8 @@ def load_report_json(path: str) -> List[VanishingReport]:
         payload = json.load(fh)
     out = []
     for item in payload:
-        out.append(VanishingReport(
-            provenance=item["provenance"],
-            hn_verdict=item["hn_verdict"],
-            vanishing_flags=list(item["vanishing_flags"]),
-            deg_t=item["deg_t"],
-            bound=None if item["bound"] is None else Fraction(item["bound"]),
-            bound_respected=item["bound_respected"],
-            isotropy_pass=item["isotropy_pass"],
-        ))
+        values = {f.name: item[f.name] for f in fields(VanishingReport)}
+        if values["bound"] is not None:
+            values["bound"] = Fraction(values["bound"])
+        out.append(VanishingReport(**values))
     return out

@@ -116,12 +116,15 @@ def test_criterion_03_criterion_biconditional(mixed_corpus, criterion):
 
 def test_criterion_04_pde_residuals(hn_corpus, non_hn_corpus, criterion):
     def body():
-        for p in hn_corpus + non_hn_corpus:
-            pair = invert_general(p, 4)
-            assert burgers_residual(pair, form="gradient").is_zero()
+        for p in non_hn_corpus:
+            assert burgers_residual(invert_general(p, 4), form="gradient").is_zero()
         for p in hn_corpus:
-            pair = invert_hn(p, 4)
-            assert burgers_residual(pair, form="laplacian").is_zero()
+            # each recurrence is its own form of the law written slot by
+            # slot, so each pair is also held to the other form
+            general, pair = invert_general(p, 4), invert_hn(p, 4)
+            for form in ("gradient", "laplacian"):
+                assert burgers_residual(general, form=form).is_zero()
+                assert burgers_residual(pair, form=form).is_zero()
             cap = 16 if p.arity <= 2 else 12
             for s in (1, 2, gr(1, 1)):
                 assert heat_residual(p, pair, s, cap).is_zero()

@@ -131,6 +131,11 @@ def test_format_ordering_and_signs():
     assert format_poly(Poly.zero(2)) == "0"
     mixed = parse("(1+2*i)*z1")
     assert format_poly(mixed) == "(1+2*i)*z1"
+    # one case per coefficient shape: the sign is pulled out unless mixed
+    for text in ("z1", "-z1", "2/3*z1", "-2/3*z1", "i*z1", "-i*z1", "3/4*i*z1",
+                 "-3/4*i*z1", "(1/2-i)*z1", "(-2-5/3*i)*z1", "z1 + 1", "z1 - 7/2",
+                 "z1 - i", "z1 + (1-i)"):
+        assert format_poly(parse(text, arity=1)) == text
 
 
 def test_format_uv_style():

@@ -1,5 +1,6 @@
 """Experiment harness: config validation, trial reports, serialization."""
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hesnil import (
     ConfigError,
     ExperimentConfig,
     Poly,
+    TGraded,
     VanishingReport,
     alpha_bound,
     build_member,
@@ -242,6 +244,15 @@ def test_emit_and_load_roundtrip(tmp_path):
     assert json.loads(text)[0] == GOLDEN_TRIAL0
     loaded = load_report_json(str(path))
     assert loaded == reports
+    # extra keys are ignored and a missing key raises KeyError
+    payload = json.loads(text)
+    payload[0]["extra"] = 1
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert load_report_json(str(path)) == reports
+    del payload[1]["deg_t"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(KeyError):
+        load_report_json(str(path))
 
 
 def test_isotropy_check_direct():
@@ -292,6 +303,7 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     hn_calls = []
     stray = []
     product_degrees = []
+    squares = []
 
     def allowed(fn):
         def inner(*args, **kwargs):
@@ -320,6 +332,8 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     def watched_mul(a, b):
         if isinstance(b, Poly) and (a == p or b == p):
             degree = a.degree() + b.degree()
+            if a == p and b == p:
+                squares.append(degree)
             product_degrees.append(degree)
             if not depth[0]:
                 stray.append(("power", degree))
@@ -339,6 +353,28 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     # the window reaches P^{max(M,2)+1} and is_hn P^n; nothing forms a higher power
     top_power = max(max(cfg.t_order, 2) + 1, cfg.n)
     assert product_degrees and max(product_degrees) <= cfg.d * top_power
+    # P^2 is formed once by is_hn's table and once by the window's
+    assert len(squares) <= 2
+
+
+def test_flag_cross_check_compares_every_flag(monkeypatch):
+    # flags [False, False, False]: a wrong zero below the top one keeps deg_t at 3
+    cfg = ExperimentConfig.from_dict(
+        {"n": 6, "d": 3, "generator": {"kind": "ph"}, "trials": 1, "seed": 1, "t_order": 3})
+    invert_general = hesnil.vanishing.invert_general
+
+    def zeroes_q2(p, t_order, z_cap=None):
+        pair = invert_general(p, t_order, z_cap)
+        slots = list(pair.q.coeffs)
+        slots[1] = Poly.zero(p.arity)
+        return dataclasses.replace(pair, q=TGraded(p.arity, slots, pair.t_order, z_cap))
+
+    monkeypatch.setattr(hesnil.vanishing, "invert_general", zeroes_q2)
+    report, failures = hesnil.vanishing.run_trial(cfg, 0)
+    assert report.vanishing_flags == [False, False, False] and report.deg_t == 3
+    assert len(failures) == 1
+    assert "flag cross-check" in failures[0]
+    assert "trial_seed 1000003" in failures[0]
 
 
 class _RecordingPool:
