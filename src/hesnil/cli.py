@@ -39,10 +39,16 @@ _INVERTERS = {
 _UV_KINDS = {"pg", "ph"}
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
 def _read_poly(path: str) -> Poly:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse(text)
+    return parse(_read_text(path))
 
 
 def _style_for(text: str) -> str:
@@ -76,9 +82,8 @@ def check_hn_command(poly_file: str) -> None:
 @click.argument("poly_file", type=click.Path(exists=True, dir_okay=False))
 def invert_command(method: str, t_order: int, z_degree, poly_file: str) -> None:
     """Print Q_[1..M] of the deformed inversion pair plus a JSON summary."""
-    with open(poly_file, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
+        text = _read_text(poly_file)
         p = parse(text)
         pair = _INVERTERS[method](p, t_order, z_cap=z_degree)
     except (ValueError, RuntimeError) as exc:
@@ -123,11 +128,12 @@ def vanishing_command(config_path: str) -> None:
     failed (an implementation bug); 3 a conjecture-level vanishing failed
     beyond the bound (recorded, not fatal to the run).
     """
-    with open(config_path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise click.ClickException(f"config is not valid JSON: {exc}")
+    try:
+        data = json.loads(_read_text(config_path))
+    except json.JSONDecodeError as exc:
+        raise click.ClickException(f"config is not valid JSON: {exc}")
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     try:
         cfg = ExperimentConfig.from_dict(data)
         reports, failures = run_vanishing_full(cfg)

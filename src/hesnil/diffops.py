@@ -9,57 +9,50 @@ substituting d/dz_i for z_i in f.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .gaussrat import GaussianRational, ScalarLike
-from .poly import Monomial, Poly, mono_degree
+from .poly import Poly, _from_numerators, _numerators
+
+
+def _linear_image(p: Poly, images: Callable) -> Poly:
+    """sum of k * c * z^key over the terms c * z^mono of p and the (key, k)
+    of images(mono), k an int, accumulated on integer numerators."""
+    den, nums = _numerators([(img, c) for m, c in p.terms.items() if (img := images(m))])
+    acc: dict = {}
+    for img, re, im in nums:
+        for key, k in img:
+            c = acc.get(key)
+            if c is None:
+                acc[key] = [re * k, im * k]
+            else:
+                c[0] += re * k
+                c[1] += im * k
+    return Poly._raw(p.arity, _from_numerators(acc.items(), den))
 
 
 def partial(p: Poly, index: int) -> Poly:
     if not 0 <= index < p.arity:
         raise ValueError(f"variable index {index} out of range for arity {p.arity}")
-    out: dict = {}
-    for mono, coeff in p.terms.items():
-        e = mono[index]
-        if not e:
-            continue
-        key = mono[:index] + (e - 1,) + mono[index + 1:]
-        out[key] = coeff * e if key not in out else out[key] + coeff * e
-    return Poly._raw(p.arity, {m: c for m, c in out.items() if c})
+    return _linear_image(p, lambda m: ((m[:index] + (m[index] - 1,) + m[index + 1:], m[index]),)
+                         if m[index] else ())
 
 
 def partial_multi(p: Poly, orders: Sequence[int]) -> Poly:
     """d^|orders| p / dz^orders, computed termwise via falling factorials."""
     if len(orders) != p.arity:
         raise ValueError(f"need {p.arity} derivative orders, got {len(orders)}")
-    out: dict = {}
-    for mono, coeff in p.terms.items():
-        factor = 1
-        for e, s in zip(mono, orders):
-            if e < s:
-                factor = 0
-                break
-            if s:
-                factor *= math.perm(e, s)
-        if not factor:
-            continue
-        key = tuple(e - s for e, s in zip(mono, orders))
-        c = coeff * factor
-        out[key] = c if key not in out else out[key] + c
-    return Poly._raw(p.arity, {m: c for m, c in out.items() if c})
+
+    def image(mono):
+        k = math.prod(map(math.perm, mono, orders))  # perm(e, s) = 0 when e < s
+        return ((tuple(e - s for e, s in zip(mono, orders)), k),) if k else ()
+
+    return _linear_image(p, image)
 
 
 def laplacian(p: Poly) -> Poly:
-    out: dict = {}
-    for mono, coeff in p.terms.items():
-        for i, e in enumerate(mono):
-            if e < 2:
-                continue
-            key = mono[:i] + (e - 2,) + mono[i + 1:]
-            c = coeff * (e * (e - 1))
-            out[key] = c if key not in out else out[key] + c
-    return Poly._raw(p.arity, {m: c for m, c in out.items() if c})
+    return _linear_image(p, lambda m: [(m[:i] + (e - 2,) + m[i + 1:], e * (e - 1))
+                                       for i, e in enumerate(m) if e > 1])
 
 
 def laplacian_iter(p: Poly, k: int) -> Poly:

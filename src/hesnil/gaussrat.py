@@ -25,6 +25,14 @@ class GaussianRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
+    @classmethod
+    def _raw(cls, re: Fraction, im: Fraction) -> "GaussianRational":
+        # trusted constructor: both parts are already Fractions
+        g = cls.__new__(cls)
+        g.re = re
+        g.im = im
+        return g
+
     # -- coercion -----------------------------------------------------
 
     @staticmethod
@@ -50,29 +58,29 @@ class GaussianRational:
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return GaussianRational._raw(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return GaussianRational._raw(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.coerce(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._raw(-self.re, -self.im)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         o = GaussianRational.coerce(other)
         a, b, c, d = self.re, self.im, o.re, o.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        return GaussianRational._raw(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._raw(self.re, -self.im)
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
         o = GaussianRational.coerce(other)
@@ -80,7 +88,7 @@ class GaussianRational:
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
         a, b, c, d = self.re, self.im, o.re, o.im
-        return GaussianRational((a * c + b * d) / n, (b * c - a * d) / n)
+        return GaussianRational._raw((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.coerce(other) / self

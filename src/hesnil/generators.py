@@ -16,7 +16,9 @@ from .poly import Poly
 from .diffops import PolyMatrix, PolyVector, cofactor_det, jacobian
 from .nilpotency import is_hn, trace_powers
 
-Vector = Tuple[GaussianRational, ...]
+# the class by name: typing caches subscriptions by argument, so a class
+# object here would keep every re-imported gaussrat module alive
+Vector = Tuple["GaussianRational", ...]
 VectorLike = Sequence[ScalarLike]
 
 

@@ -5,6 +5,10 @@ nonzero GaussianRational coefficients.  The empty dict is the zero
 polynomial; zero coefficients are never stored, so equality is structural.
 Display order is graded lexicographic, highest total degree first.
 
+Products, and the derivatives in diffops, run on plain ints: each operand's
+coefficients become Gaussian-integer pairs over one common denominator, the
+lcm of its own, and each output coefficient is reduced once at the end.
+
 Two variable naming styles are understood by the text grammar:
 
     z-style   z1, z2, ..., zN        index k-1 for zK
@@ -169,17 +173,30 @@ class Poly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                c = out.get(mono)
-                c = ca * cb if c is None else c + ca * cb
-                if c:
-                    out[mono] = c
-                elif mono in out:
-                    del out[mono]
-        return Poly._raw(self.arity, out)
+        if not a:
+            return Poly.zero(self.arity)
+        # each monomial packed into one int, one field per variable, wide
+        # enough for the product's top degree so that no field carries
+        width = (max(map(sum, a)) + max(map(sum, b))).bit_length() + 1
+        shifts = range(width * (self.arity - 1), -1, -width)
+        den_a, num_a = _numerators(a.items())
+        den_b, num_b = _numerators(b.items())
+        packed_b = [(sum(e << s for e, s in zip(m, shifts)), r, i) for m, r, i in num_b]
+        acc: dict = {}
+        get = acc.get
+        for m, ar, ai in num_a:
+            ka = sum(e << s for e, s in zip(m, shifts))
+            for kb, br, bi in packed_b:
+                k = ka + kb
+                c = get(k)
+                if c is None:
+                    acc[k] = [ar * br - ai * bi, ar * bi + ai * br]
+                else:
+                    c[0] += ar * br - ai * bi
+                    c[1] += ar * bi + ai * br
+        mask = (1 << width) - 1
+        return Poly._raw(self.arity, _from_numerators(
+            ((tuple(k >> s & mask for s in shifts), c) for k, c in acc.items()), den_a * den_b))
 
     def __rmul__(self, other: ScalarLike) -> "Poly":
         return self.scale(other)
@@ -269,6 +286,23 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.arity}, {format_poly(self)!r})"
+
+
+def _numerators(items: Sequence) -> tuple:
+    """(L, [(key, re*L, im*L), ...]) for (key, coefficient) pairs: the coefficients
+    as Gaussian-integer pairs over one positive denominator L, the lcm of all
+    their denominators."""
+    den = 1
+    for _, c in items:
+        den = math.lcm(den, c.re.denominator, c.im.denominator)
+    return den, [(key, c.re.numerator * (den // c.re.denominator),
+                  c.im.numerator * (den // c.im.denominator)) for key, c in items]
+
+
+def _from_numerators(items: Iterable, den: int) -> dict:
+    """Canonical terms from (mono, (re, im)) integer numerators over den; zeros are dropped."""
+    make = GaussianRational._raw
+    return {m: make(Fraction(r, den), Fraction(i, den)) for m, (r, i) in items if r or i}
 
 
 def substitute(p: Poly, images: Sequence, lift: Callable, zero):

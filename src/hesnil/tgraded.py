@@ -43,6 +43,8 @@ class TGraded:
             t_order = len(coeffs)
         if t_order < 0:
             raise ValueError("t_order must be nonnegative")
+        if z_trunc is not None and z_trunc < 0:
+            raise ValueError(f"z-degree cap must be nonnegative, got {z_trunc}")
         if len(coeffs) > t_order:
             raise ValueError(f"{len(coeffs)} coefficients exceed t_order {t_order}")
         slots = list(coeffs)

@@ -18,7 +18,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from math import ceil
+from math import ceil, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussrat import GaussianRational
@@ -385,13 +385,14 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     degree_t = max((m for m, zero in enumerate(flags, 1) if not zero), default=0)
 
     if hn:
-        # Q_[m+1] is a nonzero multiple of Delta^m P^{m+1}, so the gradient
-        # recurrence, which does not assume HN, must see the same zeros
+        # for HN P, Q_[m+1] = Delta^m P^{m+1} / (2^m m! (m+1)!) (the closed
+        # form); the gradient recurrence does not assume HN and must agree
         pair = invert_general(p, big_m + 1)
-        inv_flags = [pair.q_slot(m + 1).is_zero() for m in range(1, big_m + 1)]
-        if inv_flags != flags:
-            failures.append(f"{tag}, flag cross-check: invert_general zero pattern "
-                            f"{inv_flags} != window flags {flags}")
+        off = [m for m in range(big_m + 1) if pair.q_slot(m + 1) != window[m].scale(
+            Fraction(1, 2 ** m * factorial(m) * factorial(m + 1)))]
+        if off:
+            failures.append(f"{tag}, flag cross-check: invert_general's Q_[m+1] differs "
+                            f"from Delta^m P^(m+1) / (2^m m! (m+1)!) at m = {off}")
 
     d_actual = p.is_homogeneous()
     isotropy: Optional[Dict[str, Optional[bool]]] = None

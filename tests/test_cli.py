@@ -80,6 +80,27 @@ def test_invert_rejects_bad_input(tmp_path):
     assert result.exit_code != 0
 
 
+def test_unreadable_input_and_negative_z_degree_exit_1(tmp_path):
+    runner = CliRunner()
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"z1^2*z2\xff")
+    for args in (["invert", "--t-order", "2", str(latin)],
+                 ["check-hn", str(latin)],
+                 ["vanishing", "--config", str(latin)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "Error:" in result.stderr and "not UTF-8 text" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
+    poly_file = write(tmp_path / "p.txt", WORKED_TEXT)
+    for method in ("general", "hn", "closed", "fixed-point"):
+        result = runner.invoke(main, ["invert", "--method", method, "--t-order", "3",
+                                      "--z-degree", "-1", poly_file])
+        assert result.exit_code == 1
+        assert "Error: z-degree cap must be nonnegative, got -1" in result.stderr
+        assert "Q_[1]" not in result.stdout
+
+
 def test_invert_z_degree_caps(tmp_path):
     runner = CliRunner()
     poly_file = write(tmp_path / "p.txt", "z1^2*z2 + z2^3")

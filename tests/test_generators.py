@@ -1,6 +1,9 @@
 """Constructions from isotropic vectors and their trace identities."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -247,3 +250,21 @@ def test_sampler_orthogonal_mode():
         sample_isotropic(6, 4, 1234, pairwise_orthogonal=True)
     with pytest.raises(ValueError):
         sample_isotropic(1, 1, 0)
+
+
+def test_reimport_releases_the_old_modules():
+    # typing caches subscriptions by argument, so a class object in a
+    # module-level alias would keep every re-imported copy of its module alive
+    script = """
+import gc, importlib, sys, weakref
+def fresh():
+    for key in [k for k in sys.modules if k == "hesnil" or k.startswith("hesnil.")]:
+        del sys.modules[key]
+    return importlib.import_module("hesnil")
+old = weakref.ref(fresh().GaussianRational)
+fresh()
+gc.collect()
+sys.exit(0 if old() is None else 1)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0

@@ -2,21 +2,26 @@
 
 Every operation is recomputed by sympy over its QQ_I domain on small
 random inputs (arity <= 3, <= 5 terms, degree <= 4) and compared
-coefficient for coefficient.
+coefficient for coefficient.  Fixed cases aim at the integer-numerator
+kernel's edges: arity 0 and 1, exponent sums that cross a packed-field
+width, cancellation, and coprime denominators; products are also compared
+with a termwise GaussianRational reference.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 sp = pytest.importorskip("sympy")
 
-from hesnil import GaussianRational, Poly, apply_D, laplacian, partial  # noqa: E402
+from hesnil import GaussianRational, Poly, apply_D, laplacian, partial, partial_multi  # noqa: E402
 from hesnil.diffops import cofactor_det  # noqa: E402
 
 QQ_I = sp.QQ_I
 ORACLE = settings(max_examples=25, deadline=None)
 
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=30)
 scalars = st.builds(GaussianRational, rationals, rationals)
 
 
@@ -109,3 +114,89 @@ def test_substitute_linear(case):
 def test_cofactor_det(rows):
     expected = sp.Matrix([[sp_scalar(c) for c in row] for row in rows]).det()
     assert sp.expand(expected) == sp_scalar(cofactor_det(rows, GaussianRational(0)))
+
+
+# -- edge cases of the integer-numerator kernel ---------------------------------
+
+
+def reference_product(a: Poly, b: Poly) -> dict:
+    """a * b termwise in GaussianRational arithmetic, zeros dropped."""
+    out: dict = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            out[mono] = out.get(mono, GaussianRational(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def canonical(p: Poly) -> bool:
+    return all(c and type(c.re) is Fraction and type(c.im) is Fraction
+               for c in p.terms.values())
+
+
+def terms(arity: int, *pairs) -> Poly:
+    """A Poly from (monomial, coefficient) pairs, built without multiplying."""
+    return Poly(arity, dict(pairs))
+
+
+F = Fraction
+I = GaussianRational(0, 1)
+KERNEL_CASES = {
+    "arity 0": (terms(0, ((), GaussianRational(F(1, 7), F(-2, 3)))),
+                terms(0, ((), GaussianRational(0, F(1, 17))))),
+    "arity 0, zero factor": (terms(0, ((), 5)), Poly.zero(0)),
+    "arity 1, zero factor": (Poly.zero(1), terms(1, ((2,), 1), ((0,), 1))),
+    "z1^15 * z1": (terms(1, ((15,), 1)), terms(1, ((1,), 1))),
+    "z1^255 * z1": (terms(1, ((255,), F(3, 7)), ((3,), -I)),
+                    terms(1, ((1,), 1), ((0,), F(1, 11)))),
+    "degree 40, arity 3": (
+        terms(3, ((13, 14, 13), 1), ((40, 0, 0), F(-2, 3)), ((0, 20, 20), I)),
+        terms(3, ((27, 0, 13), 1), ((0, 40, 0), 5), ((31, 9, 0), -1), ((0, 0, 0), 1))),
+    "fields at 63 + 1": (terms(3, ((63, 0, 0), 1), ((0, 31, 32), 1), ((0, 0, 63), -1)),
+                         terms(3, ((1, 0, 0), 1), ((0, 0, 1), I), ((0, 1, 0), -1))),
+    "cancels in some terms": (terms(3, ((1, 0, 0), 1), ((0, 1, 0), I), ((0, 0, 1), 1)),
+                              terms(3, ((1, 0, 0), 1), ((0, 1, 0), -I), ((0, 0, 1), -1))),
+    "coprime denominators": (
+        terms(2, ((1, 0), F(1, 7)), ((0, 1), F(1, 11)), ((0, 0), F(1, 13))),
+        terms(2, ((1, 0), F(1, 13)), ((0, 2), GaussianRational(0, F(1, 17))))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_edge_cases(name):
+    a, b = KERNEL_CASES[name]
+    for x, y in ((a, b), (b, a)):
+        prod = x * y
+        assert prod.terms == reference_product(x, y)
+        assert canonical(prod)
+    if not a.arity:
+        assert sp.expand(sp_scalar(prod.constant_term())) == sp.expand(
+            sp_scalar(a.constant_term()) * sp_scalar(b.constant_term()))
+        return
+    xs = symbols("x", a.arity)
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert to_sympy(prod) == sa * sb
+    for p, sp_p in ((a, sa), (prod, sa * sb)):
+        lap = laplacian(p)
+        assert canonical(lap)
+        assert to_sympy(lap) == sum((sp_p.diff((x, 2)) for x in xs[1:]), sp_p.diff((xs[0], 2)))
+        for i, x in enumerate(xs):
+            assert canonical(partial(p, i))
+            assert to_sympy(partial(p, i)) == sp_p.diff(x)
+        orders = tuple(range(1, a.arity + 1))
+        assert to_sympy(partial_multi(p, orders)) == sp_p.diff(*zip(xs, orders))
+
+
+def test_kernel_cancellation_to_zero():
+    # (z1 + i z2)^k is harmonic: every coefficient of its Laplacian cancels
+    linear = terms(2, ((1, 0), 1), ((0, 1), I))
+    h = Poly.one(2)
+    for k in range(1, 8):
+        h = Poly(2, reference_product(h, linear))
+        assert linear ** k == h and canonical(linear ** k)
+        assert laplacian(h).terms == {}
+    quadric = terms(2, ((2, 0), F(1, 7)), ((0, 2), F(-1, 7)), ((1, 1), F(2, 13)))
+    assert laplacian(quadric).terms == {}
+    # the z1*z2 terms cancel
+    conj = terms(2, ((1, 0), 1), ((0, 1), -I))
+    assert (linear * conj).terms == terms(2, ((2, 0), 1), ((0, 2), 1)).terms

@@ -23,6 +23,9 @@ def test_construction_pads_and_validates():
         a.coeff(-1)
     with pytest.raises(ValueError):
         TGraded(1, [parse("z1")] * 4, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        TGraded(1, [parse("z1")], 3, z_trunc=-1)
+    assert TGraded(1, [parse("z1")], 3, z_trunc=0).is_zero()
 
 
 def test_z_trunc_applies_on_construction():

@@ -377,6 +377,26 @@ def test_flag_cross_check_compares_every_flag(monkeypatch):
     assert "trial_seed 1000003" in failures[0]
 
 
+def test_flag_cross_check_compares_values(monkeypatch):
+    # a wrong but nonzero Q_[2] leaves every zero pattern as it was
+    cfg = ExperimentConfig.from_dict(
+        {"n": 6, "d": 3, "generator": {"kind": "ph"}, "trials": 1, "seed": 1, "t_order": 3})
+    invert_general = hesnil.vanishing.invert_general
+
+    def doubles_q2(p, t_order, z_cap=None):
+        pair = invert_general(p, t_order, z_cap)
+        slots = list(pair.q.coeffs)
+        slots[1] = slots[1].scale(2)
+        return dataclasses.replace(pair, q=TGraded(p.arity, slots, pair.t_order, z_cap))
+
+    monkeypatch.setattr(hesnil.vanishing, "invert_general", doubles_q2)
+    report, failures = hesnil.vanishing.run_trial(cfg, 0)
+    assert report.vanishing_flags == [False, False, False]
+    assert len(failures) == 1
+    assert "flag cross-check" in failures[0]
+    assert "trial_seed 1000003" in failures[0]
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor and runs the map in-process."""
 
