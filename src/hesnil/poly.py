@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .gaussrat import GaussianRational, ScalarLike
 
@@ -288,7 +288,7 @@ class Poly:
         return f"Poly({self.arity}, {format_poly(self)!r})"
 
 
-def _numerators(items: Sequence) -> tuple:
+def _numerators(items: Collection) -> tuple:
     """(L, [(key, re*L, im*L), ...]) for (key, coefficient) pairs: the coefficients
     as Gaussian-integer pairs over one positive denominator L, the lcm of all
     their denominators."""
