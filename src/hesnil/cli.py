@@ -106,10 +106,16 @@ def invert_command(method: str, t_order: int, z_degree, poly_file: str) -> None:
 @click.option("--n", "n", type=int, required=True, help="Number of variables.")
 @click.option("--d", "d", type=int, required=True, help="Target degree.")
 @click.option("--seed", "seed", type=int, required=True, help="Sampling seed.")
-def generate_command(kind: str, n: int, d: int, seed: int) -> None:
+@click.option("--params", "params_text", default="{}", show_default=True,
+              help="Generator params as a JSON object, as in a vanishing config.")
+def generate_command(kind: str, n: int, d: int, seed: int, params_text: str) -> None:
     """Emit a sampled polynomial in the text grammar plus JSON provenance."""
     try:
-        p, provenance = build_member(n, d, kind, {}, seed)
+        params = json.loads(params_text)
+    except json.JSONDecodeError as exc:
+        raise click.ClickException(f"--params is not valid JSON: {exc}")
+    try:
+        p, provenance = build_member(n, d, kind, params, seed)
     except (ValueError, RuntimeError) as exc:
         raise click.ClickException(str(exc))
     style = "uv" if kind in _UV_KINDS else "z"

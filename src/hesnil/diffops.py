@@ -12,7 +12,7 @@ import math
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .gaussrat import GaussianRational, ScalarLike
-from .poly import Poly, _from_numerators, _numerators
+from .poly import Poly, _Packed, _from_numerators, _numerators, _poly_dot
 
 
 def _linear_image(p: Poly, images: Callable) -> Poly:
@@ -51,8 +51,7 @@ def partial_multi(p: Poly, orders: Sequence[int]) -> Poly:
 
 
 def laplacian(p: Poly) -> Poly:
-    return _linear_image(p, lambda m: [(m[:i] + (e - 2,) + m[i + 1:], e * (e - 1))
-                                       for i, e in enumerate(m) if e > 1])
+    return _Packed.of(p, p.degree()).laplacian().poly()
 
 
 def laplacian_iter(p: Poly, k: int) -> Poly:
@@ -69,16 +68,23 @@ def laplacian_powers_table(p: Poly, top: int, offsets: Sequence[int]) -> List[Li
     """rows[j][m] = Delta^m P^{m + offsets[j]} for m = 0..top.
 
     The powers of P are formed in turn, each once, and each is dropped as
-    soon as every row that reads it has its entry.
+    soon as every row that reads it has its entry.  Each power's Laplacians
+    are iterated on integers; only the entries the rows read are reduced.
     """
     rows: List[List[Poly]] = [[] for _ in offsets]
     power = Poly.one(p.arity)
     for i in range(top + max(offsets) + 1):
         if i:
             power = p if i == 1 else power * p
+        wanted = sorted({i - k for k in offsets if 0 <= i - k <= top})
+        form, depth, images = _Packed.of(power, power.degree()), 0, {}
+        for m in wanted:
+            while depth < m and form.terms:
+                form, depth = form.laplacian(), depth + 1
+            images[m] = form.poly()
         for row, k in zip(rows, offsets):
-            if 0 <= i - k <= top:
-                row.append(laplacian_iter(power, i - k))
+            if i - k in images:
+                row.append(images[i - k])
     return rows
 
 
@@ -86,10 +92,8 @@ def grad_pair(p: Poly, q: Poly) -> Poly:
     """<grad p, grad q> = sum_i (dp/dz_i)(dq/dz_i), bilinear."""
     if p.arity != q.arity:
         raise ValueError("arity mismatch")
-    total = Poly.zero(p.arity)
-    for i in range(p.arity):
-        total = total + partial(p, i) * partial(q, i)
-    return total
+    pairs = [(partial(p, i), partial(q, i)) for i in range(p.arity)]
+    return _poly_dot(pairs) if pairs else Poly.zero(0)
 
 
 def sigma_squared(arity: int) -> Poly:
@@ -186,10 +190,7 @@ class PolyVector:
     def dot(self, other: "PolyVector") -> Poly:
         if len(self) != len(other):
             raise ValueError("length mismatch")
-        total = Poly.zero(self.arity)
-        for a, b in zip(self.entries, other.entries):
-            total = total + a * b
-        return total
+        return _poly_dot(list(zip(self.entries, other.entries)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyVector):
@@ -200,6 +201,14 @@ class PolyVector:
 
     def __repr__(self) -> str:
         return "PolyVector([" + ", ".join(str(p) for p in self.entries) + "])"
+
+
+def _max_degree(rows: Sequence[Sequence[Poly]]) -> int:
+    return max(p.degree() for r in rows for p in r)
+
+
+def _packed(rows: Sequence[Sequence[Poly]], top: int) -> List[List[_Packed]]:
+    return [[_Packed.of(p, top) for p in r] for r in rows]
 
 
 class PolyMatrix:
@@ -226,26 +235,14 @@ class PolyMatrix:
         return self.rows[i]
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        n, k = self.shape
+        _, k = self.shape
         k2, m = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = Poly.zero(self.arity)
-                for t in range(k):
-                    a = self.rows[i][t]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[t][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return PolyMatrix(rows)
+        top = _max_degree(self.rows) + _max_degree(other.rows)
+        a, b = _packed(self.rows, top), _packed(other.rows, top)
+        return PolyMatrix([[_Packed.dot([(row[t], b[t][j]) for t in range(k)]).poly()
+                            for j in range(m)] for row in a])
 
     def __pow__(self, exponent: int) -> "PolyMatrix":
         n, m = self.shape
@@ -259,13 +256,20 @@ class PolyMatrix:
         return result
 
     def trace_powers(self, k: int) -> List[Poly]:
-        """[Tr M^m for m = 1..k]."""
-        traces = []
-        acc = self
-        for m in range(k):
-            if m:
-                acc = acc * self
-            traces.append(acc.trace())
+        """[Tr M^m for m = 1..k]; M^m stays on integers and Tr M^{m+1} is the
+        one dot sum_{i,t} (M^m)_it M_ti, so only the traces are reduced."""
+        if k < 1:
+            return []
+        n = len(self.rows)
+        base = _packed(self.rows, k * _max_degree(self.rows))
+        power = base
+        traces = [self.trace()]
+        for m in range(1, k):
+            traces.append(_Packed.dot([(power[i][t], base[t][i])
+                                       for i in range(n) for t in range(n)]).poly())
+            if m + 1 < k:
+                power = [[_Packed.dot([(row[t], base[t][j]) for t in range(n)])
+                          for j in range(n)] for row in power]
         return traces
 
     def trace(self) -> Poly:

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 from .diffops import PolyVector, grad_pair, laplacian, laplacian_powers_table, partial
 from .gaussrat import GaussianRational, ScalarLike
 from .nilpotency import is_hn
-from .poly import Poly, exp_truncated
+from .poly import Poly, _Packed, exp_truncated
 from .tgraded import TGraded, compose_poly, exp_tgraded
 
 
@@ -75,21 +75,23 @@ def invert_general(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deform
     _require_order2(p)
     if t_order < 1:
         raise ValueError("t_order must be at least 1")
+    n = p.arity
     slots = [p if z_cap is None else p.truncate(z_cap)]
-    grads = [[partial(slots[0], i) for i in range(p.arity)]]
+    # every product of gradients below has degree at most t_order (deg P - 2) + 2
+    top = t_order * (slots[0].degree() - 2) + 2
+    grads = [[_Packed.of(partial(slots[0], i), top) for i in range(n)]]
     for m in range(2, t_order + 1):
-        acc = Poly.zero(p.arity)
+        # the k = l pairs once, the k < l pairs twice
+        pairs, weights = [], []
         for k in range(1, m // 2 + 1):
-            l = m - k
-            piece = Poly.zero(p.arity)
-            for i in range(p.arity):
-                piece = piece + grads[k - 1][i] * grads[l - 1][i]
-            acc = acc + (piece if k == l else piece.scale(2))
+            pairs += zip(grads[k - 1], grads[m - k - 1])
+            weights += [1 if 2 * k == m else 2] * n
+        acc = _Packed.dot(pairs, weights).poly() if pairs else Poly.zero(n)
         q_m = acc.scale(Fraction(1, 2 * (m - 1)))
         if z_cap is not None:
             q_m = q_m.truncate(z_cap)
         slots.append(q_m)
-        grads.append([partial(q_m, i) for i in range(p.arity)])
+        grads.append([_Packed.of(partial(q_m, i), top) for i in range(n)])
     return _pair(p, slots, z_cap, "general")
 
 

@@ -5,9 +5,11 @@ nonzero GaussianRational coefficients.  The empty dict is the zero
 polynomial; zero coefficients are never stored, so equality is structural.
 Display order is graded lexicographic, highest total degree first.
 
-Products, and the derivatives in diffops, run on plain ints: each operand's
+Products, Laplacians and derivatives run on plain ints: each operand's
 coefficients become Gaussian-integer pairs over one common denominator, the
-lcm of its own, and each output coefficient is reduced once at the end.
+lcm of its own, and each output coefficient is reduced once at the end.  The
+private _Packed form keeps a whole chain (a matrix power, iterated Laplacians)
+on ints and reduces only what the chain returns.
 
 Two variable naming styles are understood by the text grammar:
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
+from operator import lshift
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .gaussrat import GaussianRational, ScalarLike
@@ -105,9 +108,7 @@ class Poly:
 
     def degree(self) -> int:
         """Highest total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def is_homogeneous(self) -> Optional[int]:
         """Common total degree of all terms, or None.
@@ -170,33 +171,10 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check_arity(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if not a:
-            return Poly.zero(self.arity)
-        # each monomial packed into one int, one field per variable, wide
-        # enough for the product's top degree so that no field carries
-        width = (max(map(sum, a)) + max(map(sum, b))).bit_length() + 1
-        shifts = range(width * (self.arity - 1), -1, -width)
-        den_a, num_a = _numerators(a.items())
-        den_b, num_b = _numerators(b.items())
-        packed_b = [(sum(e << s for e, s in zip(m, shifts)), r, i) for m, r, i in num_b]
-        acc: dict = {}
-        get = acc.get
-        for m, ar, ai in num_a:
-            ka = sum(e << s for e, s in zip(m, shifts))
-            for kb, br, bi in packed_b:
-                k = ka + kb
-                c = get(k)
-                if c is None:
-                    acc[k] = [ar * br - ai * bi, ar * bi + ai * br]
-                else:
-                    c[0] += ar * br - ai * bi
-                    c[1] += ar * bi + ai * br
-        mask = (1 << width) - 1
-        return Poly._raw(self.arity, _from_numerators(
-            ((tuple(k >> s & mask for s in shifts), c) for k, c in acc.items()), den_a * den_b))
+        # the smaller operand drives the outer loop
+        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        top = a.degree() + b.degree()
+        return _Packed.dot([(_Packed.of(a, top), _Packed.of(b, top))]).poly()
 
     def __rmul__(self, other: ScalarLike) -> "Poly":
         return self.scale(other)
@@ -303,6 +281,83 @@ def _from_numerators(items: Iterable, den: int) -> dict:
     """Canonical terms from (mono, (re, im)) integer numerators over den; zeros are dropped."""
     make = GaussianRational._raw
     return {m: make(Fraction(r, den), Fraction(i, den)) for m, (r, i) in items if r or i}
+
+
+class _Packed:
+    """A polynomial kept on integers through a chain of products and Laplacians:
+    each monomial one int key, top.bit_length() + 1 bits per variable (variable
+    0 highest; top bounds every degree the chain reaches, so no field carries),
+    and terms [(key, re, im), ...], Gaussian-integer numerators over den, no zeros.
+    Forms that meet in one dot share arity and width."""
+
+    __slots__ = ("arity", "width", "shifts", "den", "terms")
+
+    def __init__(self, arity: int, width: int, den: int, terms: list):
+        self.arity, self.width, self.den, self.terms = arity, width, den, terms
+        self.shifts = range(width * (arity - 1), -1, -width)
+
+    @classmethod
+    def of(cls, p: Poly, top: int) -> "_Packed":
+        form = cls(p.arity, max(top, 0).bit_length() + 1, *_numerators(p.terms.items()))
+        shifts = form.shifts
+        form.terms = [(sum(map(lshift, m, shifts)), r, i) for m, r, i in form.terms]
+        return form
+
+    def poly(self) -> Poly:
+        """The polynomial, each coefficient reduced once."""
+        mask, shifts, den, make = (1 << self.width) - 1, self.shifts, self.den, GaussianRational._raw
+        return Poly._raw(self.arity, {tuple(k >> s & mask for s in shifts): make(
+            Fraction(r, den), Fraction(i, den)) for k, r, i in self.terms})
+
+    @staticmethod
+    def dot(pairs: Sequence[tuple], weights: Optional[Sequence[int]] = None) -> "_Packed":
+        """sum of w * a * b over the pairs (a, b) of a nonempty list, w from weights
+        (default 1), on one accumulator over the lcm of the pairs' denominators."""
+        den = 1
+        for a, b in pairs:
+            den = math.lcm(den, a.den * b.den)
+        acc: dict = {}
+        get = acc.get
+        for j, (a, b) in enumerate(pairs):
+            f = den // (a.den * b.den) * (weights[j] if weights else 1)
+            for ka, ar, ai in a.terms:
+                ar, ai = ar * f, ai * f
+                for kb, br, bi in b.terms:
+                    k = ka + kb
+                    c = get(k)
+                    if c is None:
+                        acc[k] = [ar * br - ai * bi, ar * bi + ai * br]
+                    else:
+                        c[0] += ar * br - ai * bi
+                        c[1] += ar * bi + ai * br
+        return _Packed(pairs[0][0].arity, pairs[0][0].width, den,
+                       [(k, r, i) for k, (r, i) in acc.items() if r or i])
+
+    def laplacian(self) -> "_Packed":
+        """sum_i d^2/dz_i^2: per variable with exponent e > 1, key - (2 << shift) times e(e-1)."""
+        mask = (1 << self.width) - 1
+        steps = [(s, 2 << s) for s in self.shifts]
+        acc: dict = {}
+        get = acc.get
+        for key, re, im in self.terms:
+            for s, two in steps:
+                e = key >> s & mask
+                if e > 1:
+                    k, m = key - two, e * (e - 1)
+                    c = get(k)
+                    if c is None:
+                        acc[k] = [re * m, im * m]
+                    else:
+                        c[0] += re * m
+                        c[1] += im * m
+        return _Packed(self.arity, self.width, self.den,
+                       [(k, r, i) for k, (r, i) in acc.items() if r or i])
+
+
+def _poly_dot(pairs: Sequence[tuple]) -> Poly:
+    """sum of a * b over a nonempty list of pairs (a, b) of polynomials, as one fused dot."""
+    top = max(a.degree() + b.degree() for a, b in pairs)
+    return _Packed.dot([(_Packed.of(a, top), _Packed.of(b, top)) for a, b in pairs]).poly()
 
 
 def substitute(p: Poly, images: Sequence, lift: Callable, zero):

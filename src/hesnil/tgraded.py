@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .gaussrat import GaussianRational, ScalarLike
-from .poly import Poly, exp_truncated, substitute
+from .poly import Poly, _Packed, exp_truncated, substitute
 
 
 def _min_cap(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -110,16 +110,11 @@ class TGraded:
 
     def __mul__(self, other: "TGraded") -> "TGraded":
         t, z = self._join(other)
-        slots = [Poly.zero(self.arity) for _ in range(t)]
-        for a in range(min(len(self.coeffs), t)):
-            pa = self.coeffs[a]
-            if pa.is_zero():
-                continue
-            for b in range(min(len(other.coeffs), t - a)):
-                pb = other.coeffs[b]
-                if pb.is_zero():
-                    continue
-                slots[a + b] = slots[a + b] + pa * pb
+        top = max((p.degree() for p in self.coeffs), default=0) + max(
+            (p.degree() for p in other.coeffs), default=0)
+        a = [_Packed.of(p, top) for p in self.coeffs[:t]]
+        b = [_Packed.of(p, top) for p in other.coeffs[:t]]
+        slots = [_Packed.dot([(a[i], b[j - i]) for i in range(j + 1)]).poly() for j in range(t)]
         return TGraded(self.arity, slots, t, z)
 
     def __pow__(self, exponent: int) -> "TGraded":

@@ -105,8 +105,6 @@ class ExperimentConfig:
             raise ConfigError("generator accepts only 'kind' and 'params'")
         kind = gen["kind"]
         params = gen.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("generator params must be an object")
         _member_params(n, d, kind, params)
         trials = data["trials"]
         if not _is_int(trials) or trials < 0:
@@ -198,6 +196,8 @@ def _member_params(n: int, d: int, kind: str, params: dict) -> dict:
     """The generator params of kind, checked against n, with defaults filled in."""
     if kind not in GENERATOR_KINDS:
         raise ConfigError(f"unknown generator kind: {kind!r}")
+    if not isinstance(params, dict):
+        raise ConfigError("generator params must be an object")
     unknown = set(params) - _PARAM_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown {kind} params: {sorted(unknown)}")
@@ -371,7 +371,9 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     p, provenance = build_member(cfg.n, cfg.d, cfg.generator_kind, cfg.generator_params, ts, index)
     big_m = cfg.t_order
     failures: List[str] = []
-    tag = f"trial {index} ({cfg.generator_kind}, trial_seed {ts})"
+    # all `hesnil generate` needs to rebuild the member
+    tag = (f"trial {index} ({cfg.generator_kind}, n={cfg.n}, d={cfg.d}, "
+           f"params {json.dumps(cfg.generator_params, sort_keys=True)}, trial_seed {ts})")
 
     # is_hn also cross-checks Delta^m P^m = 0 for m <= n against the traces
     hn = is_hn(p).is_hn

@@ -1,10 +1,14 @@
-"""The names the benchmark's tracer binds still exist in the library."""
+"""The names the benchmark's tracer binds still exist in the library, and the
+benchmark's own tests (which pin the call structure the tracer reads) pass."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -25,3 +29,11 @@ def test_traced_names_resolve():
         if cls is None or attr not in vars(cls):
             missing.append(f"{mod_name}.{cls_name}.{attr}")
     assert missing == []
+
+
+def test_bench_own_tests_pass():
+    # a subprocess: the benchmark re-imports hesnil by deleting sys.modules entries
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench/test_bench.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]

@@ -1,7 +1,9 @@
 """End-to-end checks of the four CLI commands."""
 
 import json
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -132,6 +134,56 @@ def test_generate(tmp_path):
     wtilde = runner.invoke(main, ["generate", "--kind", "wtilde", "--n", "4",
                                   "--d", "4", "--seed", "1"])
     assert wtilde.exit_code == 0
+
+
+TAG = re.compile(r"trial (\d+) \((\w+), n=(\d+), d=(\d+), params (\{.*?\}), trial_seed (\d+)\)")
+
+
+@pytest.mark.parametrize("kind,n,d,params", [
+    ("w", 4, 3, {"count": 1}),
+    ("wtilde", 4, 4, {"counts": [1, 0, 1]}),
+    ("ug", 4, 3, {"k": 1}),
+    ("pg", 4, 3, {}),
+    ("ph", 6, 3, {}),
+])
+def test_failure_tag_rebuilds_the_member(monkeypatch, kind, n, d, params):
+    cfg = ExperimentConfig.from_dict({"n": n, "d": d, "generator": {"kind": kind, "params": params},
+                                      "trials": 2, "seed": 3, "t_order": 2})
+    built = []
+    build_member = hesnil.vanishing.build_member
+
+    def recording(*args):
+        member = build_member(*args)
+        built.append(member[0])
+        return member
+
+    # a planted non-HN verdict makes the trial report a failure, with its tag
+    monkeypatch.setattr(hesnil.vanishing, "build_member", recording)
+    monkeypatch.setattr(hesnil.vanishing, "is_hn", lambda p: SimpleNamespace(is_hn=False))
+    _, failures = hesnil.vanishing.run_trial(cfg, 1)
+    assert len(failures) == 1
+    tag = TAG.search(failures[0])
+    assert tag is not None, failures[0]
+    index, tag_kind, tag_n, tag_d, tag_params, seed = tag.groups()
+    assert (index, tag_kind, json.loads(tag_params)) == ("1", kind, params)
+    result = CliRunner().invoke(main, ["generate", "--kind", tag_kind, "--n", tag_n, "--d", tag_d,
+                                       "--params", tag_params, "--seed", seed])
+    assert result.exit_code == 0, result.output
+    assert parse(result.stdout.splitlines()[0], arity=n) == built[0]
+
+
+@pytest.mark.parametrize("params,message", [
+    ("nope", "--params is not valid JSON"),
+    ("[1]", "generator params must be an object"),
+    ('{"count": 9}', "w needs an integer count"),
+    ('{"k": 1}', "unknown w params"),
+])
+def test_generate_rejects_bad_params(params, message):
+    result = CliRunner().invoke(main, ["generate", "--kind", "w", "--n", "4", "--d", "3",
+                                       "--params", params, "--seed", "1"])
+    assert result.exit_code == 1
+    assert f"Error: {message}" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_vanishing_stdout_and_exit_zero(tmp_path):

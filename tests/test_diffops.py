@@ -183,6 +183,32 @@ def test_matrix_operations_and_det():
     assert (m ** 3)[0][1] == parse("3*z1^2")
 
 
+# (matrix, nilpotent): a triangular (ph) map, whose Jacobian is strictly upper
+# triangular; a generic map; and a Hessian carrying the coprime denominators 7, 11, 13
+TRACE_MATRICES = {
+    "jacobian of a ph map": (jacobian(PolyVector([
+        parse("3*z2^2 - i*z3*z4", arity=4), parse("z3^2 + 1/2*z4^2", arity=4),
+        parse("(2+i)*z4^2", arity=4), Poly.zero(4)])), True),
+    "non-symmetric jacobian": (jacobian(PolyVector([
+        parse("z1*z2 + i*z3^2"), parse("z2^2 - 1/2*z1*z3", arity=3),
+        parse("z1^2 + z2", arity=3)])), False),
+    "hessian, coprime denominators": (hessian(
+        parse("1/7*z1^3 + 1/11*i*z1*z2^2 + 1/13*z2*z3^2 + z1*z3")), False),
+    "zero matrix": (PolyMatrix([[Poly.zero(2)] * 2] * 2), True),
+    "1x1": (PolyMatrix([[parse("z1^2 + 1/3*z1*z2 + 1/5")]]), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_MATRICES))
+def test_trace_powers_match_traces_of_matrix_powers(name):
+    m, nilpotent = TRACE_MATRICES[name]
+    n = m.shape[0]
+    expected = [(m ** j).trace() for j in range(1, n + 3)]
+    assert all(t.is_zero() for t in expected) == nilpotent
+    for k in (0, 1, n, n + 2):
+        assert m.trace_powers(k) == expected[:k]
+
+
 def test_det_three_by_three():
     rows = [
         [parse("z1", arity=2), parse("z2", arity=2), Poly.zero(2)],

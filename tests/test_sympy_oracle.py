@@ -5,7 +5,8 @@ random inputs (arity <= 3, <= 5 terms, degree <= 4) and compared
 coefficient for coefficient.  Fixed cases aim at the integer-numerator
 kernel's edges: arity 0 and 1, exponent sums that cross a packed-field
 width, cancellation, and coprime denominators; products are also compared
-with a termwise GaussianRational reference.
+with a termwise GaussianRational reference.  Matrix products, one fused dot
+per entry, are checked entry by entry, with mixed denominators.
 """
 
 from fractions import Fraction
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 sp = pytest.importorskip("sympy")
 
-from hesnil import GaussianRational, Poly, apply_D, laplacian, partial, partial_multi  # noqa: E402
+from hesnil import (  # noqa: E402
+    GaussianRational, Poly, PolyMatrix, apply_D, laplacian, partial, partial_multi)
 from hesnil.diffops import cofactor_det  # noqa: E402
 
 QQ_I = sp.QQ_I
@@ -200,3 +202,48 @@ def test_kernel_cancellation_to_zero():
     # the z1*z2 terms cancel
     conj = terms(2, ((1, 0), 1), ((0, 1), -I))
     assert (linear * conj).terms == terms(2, ((2, 0), 1), ((0, 2), 1)).terms
+
+
+# -- matrix products on the fused dot -----------------------------------------
+
+
+def sp_matrix_product(a: PolyMatrix, b: PolyMatrix) -> list:
+    rows = [[to_sympy(p) for p in r] for r in a.rows]
+    cols = [[to_sympy(p) for p in r] for r in b.rows]
+    return [[sum((rows[i][t] * cols[t][j] for t in range(1, len(cols))), rows[i][0] * cols[0][j])
+             for j in range(len(cols[0]))] for i in range(len(rows))]
+
+
+@st.composite
+def matrix_pairs(draw):
+    n = draw(arities)
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+    entries = polys(n)
+    a = [[draw(entries) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entries) for _ in range(c)] for _ in range(k)]
+    return PolyMatrix(a), PolyMatrix(b)
+
+
+MIXED_DENOMINATORS = (
+    PolyMatrix([[terms(2, ((1, 0), F(1, 7)), ((0, 0), F(2, 3))), Poly.zero(2)],
+                [terms(2, ((0, 2), GaussianRational(0, F(1, 11)))), terms(2, ((1, 1), F(-5, 13)))]]),
+    PolyMatrix([[terms(2, ((0, 1), F(1, 13))), terms(2, ((2, 0), GaussianRational(F(1, 17), 1)))],
+                [terms(2, ((1, 0), F(3, 7)), ((0, 1), F(1, 11))), terms(2, ((0, 0), F(1, 9)))]]),
+)
+
+
+@ORACLE
+@given(matrix_pairs())
+def test_matrix_product(pair):
+    a, b = pair
+    got = a * b
+    assert [[to_sympy(p) for p in r] for r in got.rows] == sp_matrix_product(a, b)
+    assert all(canonical(p) for r in got.rows for p in r)
+
+
+def test_matrix_product_mixed_denominators():
+    a, b = MIXED_DENOMINATORS
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = x * y
+        assert [[to_sympy(p) for p in r] for r in got.rows] == sp_matrix_product(x, y)
+        assert all(canonical(p) for r in got.rows for p in r)

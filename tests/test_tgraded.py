@@ -50,6 +50,34 @@ def test_multiplication_is_convolution():
     assert prod.coeff(2) == parse("3*z1^2")
 
 
+def reference_product(a: TGraded, b: TGraded) -> TGraded:
+    """a * b slot by slot: a Poly sum of Poly products, then the joint caps."""
+    t = min(a.t_order, b.t_order)
+    caps = [c for c in (a.z_trunc, b.z_trunc) if c is not None]
+    slots = []
+    for j in range(t):
+        total = Poly.zero(a.arity)
+        for i in range(j + 1):
+            total = total + a.coeffs[i] * b.coeffs[j - i]
+        slots.append(total.truncate(min(caps)) if caps else total)
+    return TGraded(a.arity, slots, t, min(caps) if caps else None)
+
+
+@pytest.mark.parametrize("a,b", [
+    (tg(["z1^2 + 1/7*z2", "i*z1*z2", "1/11*z2^3 - z1"], z_trunc=4),
+     tg(["1/13", "z1 - i*z2", "z2^2", "1/3*z1^2*z2"], z_trunc=2)),
+    (tg(["z1", "z1^2 + z2"], t_order=3), tg(["1/2*z2^2", "(1+i)*z1"], z_trunc=3, arity=2)),
+    (TGraded.zero(2, 3), tg(["z1 + z2", "z1*z2"], t_order=3)),
+    (TGraded.zero(2, 4, z_trunc=1), TGraded.zero(2, 2)),
+    (TGraded.zero(2, 0), tg(["z1 + z2"], z_trunc=5)),
+])
+def test_product_matches_slot_by_slot_reference(a, b):
+    for x, y in ((a, b), (b, a)):
+        prod, ref = x * y, reference_product(x, y)
+        assert (prod.t_order, prod.z_trunc) == (ref.t_order, ref.z_trunc)
+        assert prod.coeffs == ref.coeffs
+
+
 def test_z_trunc_propagates_via_min():
     a = tg(["z1"], z_trunc=4)
     b = tg(["z1"], z_trunc=2)
