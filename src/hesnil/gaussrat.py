@@ -73,6 +73,8 @@ class GaussianRational:
         return GaussianRational._raw(-self.re, -self.im)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
+        if not isinstance(other, (GaussianRational, int, str, Fraction)):
+            return NotImplemented  # so that c * p reaches Poly.__rmul__
         o = GaussianRational.coerce(other)
         a, b, c, d = self.re, self.im, o.re, o.im
         return GaussianRational._raw(a * c - b * d, a * d + b * c)

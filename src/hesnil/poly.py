@@ -165,7 +165,10 @@ class Poly:
         c = GaussianRational.coerce(value)
         if not c:
             return Poly.zero(self.arity)
-        return Poly._raw(self.arity, {m: k * c for m, k in self.terms.items()})
+        den, terms = _numerators(self.terms.items())
+        cden, ((_, cr, ci),) = _numerators([(None, c)])
+        return Poly._raw(self.arity, _from_numerators(
+            ((m, (r * cr - i * ci, r * ci + i * cr)) for m, r, i in terms), den * cden))
 
     def __mul__(self, other: Union["Poly", ScalarLike]) -> "Poly":
         if not isinstance(other, Poly):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .gaussrat import GaussianRational, ScalarLike
-from .poly import Poly, _Packed, exp_truncated, substitute
+from .poly import Poly, _Packed, exp_truncated
 
 
 def _min_cap(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -27,6 +27,13 @@ def _min_cap(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if b is None:
         return a
     return min(a, b)
+
+
+def _slot_pairs(a: Sequence[_Packed], b: Sequence[_Packed], t: int) -> list:
+    """For each slot j < t of a * b, the pairs (a_i, b_(j-i)) with both nonzero; a and b
+    are packed slot lists, slots past their ends zero.  Each slot is one dot of its pairs."""
+    return [[(a[i], b[j - i]) for i in range(max(0, j + 1 - len(b)), min(j + 1, len(a)))
+             if a[i].terms and b[j - i].terms] for j in range(t)]
 
 
 class TGraded:
@@ -67,7 +74,7 @@ class TGraded:
     @classmethod
     def from_poly(cls, p: Poly, t_order: int, z_trunc: Optional[int] = None) -> "TGraded":
         """Embed a z-polynomial as a series constant in t."""
-        return cls(p.arity, [p], t_order, z_trunc)
+        return cls(p.arity, [p][:t_order], t_order, z_trunc)
 
     # -- access ---------------------------------------------------------
 
@@ -114,7 +121,8 @@ class TGraded:
             (p.degree() for p in other.coeffs), default=0)
         a = [_Packed.of(p, top) for p in self.coeffs[:t]]
         b = [_Packed.of(p, top) for p in other.coeffs[:t]]
-        slots = [_Packed.dot([(a[i], b[j - i]) for i in range(j + 1)]).poly() for j in range(t)]
+        slots = [_Packed.dot(ps).poly() if ps else Poly.zero(self.arity)
+                 for ps in _slot_pairs(a, b, t)]
         return TGraded(self.arity, slots, t, z)
 
     def __pow__(self, exponent: int) -> "TGraded":
@@ -202,15 +210,42 @@ def compose_poly(
     t_order: int,
     z_trunc: Optional[int] = None,
 ) -> TGraded:
-    """Substitute one series per variable of p, truncating as stated."""
+    """Substitute one series per variable of p; window and z cap join only the series p uses.
+    On packed slots: each power is formed once from the next lower one, each term's product
+    stays packed with its coefficient folded in, each output slot is one dot over all terms."""
     if len(values) != p.arity:
         raise ValueError(f"need {p.arity} series, got {len(values)}")
     if not values:
         return TGraded.from_poly(p, t_order, z_trunc)
     arity = values[0].arity
-    one = TGraded.from_poly(Poly.one(arity), t_order, z_trunc)
-    vals = [v.truncate_t(min(v.t_order, t_order)) for v in values]
-    return substitute(p, vals, one.scale, TGraded.zero(arity, t_order, z_trunc))
+    top_exp = [max(col) for col in zip(*p.terms)]
+    used = [j for j, e in enumerate(top_exp) if e]
+    if any(values[j].arity != arity for j in used):
+        raise ValueError("every series must share one arity")
+    t = min([t_order] + [values[j].t_order for j in used])
+    for j in used:
+        z_trunc = _min_cap(z_trunc, values[j].z_trunc)
+    degs = [max([q.degree() for q in v.coeffs[:t]] + [0]) for v in values]
+    top = max((sum(e * d for e, d in zip(m, degs)) for m in p.terms), default=0)
+    one, zero = (_Packed.of(Poly.constant(arity, c), top) for c in (1, 0))
+
+    def mul(a: list, b: list) -> list:
+        return [_Packed.dot(ps) if ps else zero for ps in _slot_pairs(a, b, t)]
+
+    powers = {j: [[_Packed.of(q, top) for q in values[j].coeffs[:t]]] for j in used}
+    for j in used:
+        while len(powers[j]) < top_exp[j]:
+            powers[j].append(mul(powers[j][-1], powers[j][0]))
+    out: list = [[] for _ in range(t)]
+    for m, c in p.terms.items():
+        factors = [powers[j][e - 1] for j, e in enumerate(m) if e] or [[one]]
+        x = [_Packed.of(Poly.constant(arity, c), top)]
+        for f in factors[:-1]:
+            x = mul(x, f)
+        for acc, ps in zip(out, _slot_pairs(x, factors[-1], t)):
+            acc += ps
+    slots = [_Packed.dot(ps).poly() if ps else Poly.zero(arity) for ps in out]
+    return TGraded(arity, slots, t, z_trunc)
 
 
 def exp_tgraded(a: TGraded, z_trunc: Optional[int] = None) -> TGraded:
@@ -228,7 +263,7 @@ def exp_tgraded(a: TGraded, z_trunc: Optional[int] = None) -> TGraded:
         e0 = exp_truncated(head, 1, cap)
     else:
         e0 = Poly.one(a.arity)
-    tail = TGraded(a.arity, [Poly.zero(a.arity)] + list(a.coeffs[1:]), a.t_order, cap)
+    tail = TGraded(a.arity, [Poly.zero(a.arity)][:a.t_order] + a.coeffs[1:], a.t_order, cap)
     term = TGraded.from_poly(Poly.one(a.arity), a.t_order, cap)
     total = term
     for k in range(1, a.t_order):

@@ -28,7 +28,7 @@ from hesnil import (
     power_flow_check,
     qt_power,
 )
-from hesnil import PolyVector
+from hesnil import PolyVector, build_member, partial
 from conftest import build_hn_corpus, random_order2_poly
 
 ALL_METHODS = (invert_general, invert_hn, invert_closed, pair_from_fixed_point)
@@ -120,6 +120,19 @@ def test_compose_check_both_directions():
             assert all(r.is_zero() for r in residuals)
     with pytest.raises(ValueError):
         compose_check(members[0], invert_general(members[0], 3), direction="x")
+
+
+@pytest.mark.parametrize("kind", ["w", "wtilde", "ug", "pg", "ph"])
+def test_composition_routes_agree_with_general(kind):
+    # compose_check and the fixed-point iteration both run through compose_poly
+    p, _ = build_member(4, 3, kind, {}, 7)
+    assert not p.is_zero()
+    pair = invert_general(p, 4)
+    for direction in ("fg", "gf"):
+        assert all(r.is_zero() for r in compose_check(p, pair, direction=direction))
+    layers = invert_fixed_point(p, 4)
+    for m in range(1, 5):
+        assert list(layers[m]) == [partial(pair.q_slot(m), i) for i in range(4)]
 
 
 def test_burgers_residual_both_forms():

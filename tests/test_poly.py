@@ -1,6 +1,7 @@
 """Sparse polynomial ring, text grammar, and truncated exponentials."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +189,25 @@ def test_exp_of_opposite_scales_cancel(p):
 def test_power_matches_repeated_product(p):
     assert p ** 3 == p * p * p
     assert p ** 0 == Poly.one(3)
+
+
+SCALED = Poly(3, {(2, 0, 1): gr(Fraction(3, 7), Fraction(-1, 11)), (0, 1, 0): Fraction(5, 13),
+                  (0, 0, 0): gr(0, 2), (1, 1, 1): -1, (0, 0, 4): gr(Fraction(14, 3), 17)})
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, gr(0, 1), gr(0, Fraction(-1, 17)),
+                               gr(Fraction(3, 7), Fraction(-2, 11)), 6, Fraction(-14, 3), "7/5"])
+def test_scale_matches_termwise_product(c):
+    g = GaussianRational.coerce(c)
+    for p in (SCALED, Poly.zero(3), Poly.zero(0), Poly.constant(0, gr(Fraction(1, 7), 3))):
+        out = p.scale(c)
+        assert out.terms == {m: k * g for m, k in p.terms.items() if k * g}
+        for k in out.terms.values():
+            assert k
+            for part in (k.re, k.im):
+                assert type(part) is Fraction and part.denominator > 0
+                assert math.gcd(part.numerator, part.denominator) == 1
+        assert p * c == out and c * p == out
 
 
 def test_evaluate_is_ring_morphism():

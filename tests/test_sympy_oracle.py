@@ -66,6 +66,13 @@ def test_product_partials_and_laplacian(pair):
 
 
 @ORACLE
+@given(single, scalars)
+def test_scale(p, c):
+    assert to_sympy(p.scale(c)) == to_sympy(p).mul_ground(QQ_I.from_sympy(sp_scalar(c)))
+    assert canonical(p.scale(c))
+
+
+@ORACLE
 @given(pairs)
 def test_apply_D(pair):
     f, g = pair

@@ -1,8 +1,11 @@
 """Truncated series in t with polynomial coefficients."""
 
+from fractions import Fraction
+
 import pytest
 
-from hesnil import Poly, TGraded, compose_poly, exp_tgraded, parse
+from hesnil import Poly, TGraded, compose_poly, exp_tgraded, gr, parse
+from hesnil.poly import substitute
 
 
 def tg(slot_texts, t_order=None, z_trunc=None, arity=None):
@@ -165,3 +168,83 @@ def test_exp_tgraded_multiplicative_on_commuting_args():
     a = TGraded(1, [Poly.zero(1), parse("z1")], 4)
     b = TGraded(1, [Poly.zero(1), parse("2*z1")], 4)
     assert exp_tgraded(a) * exp_tgraded(b) == exp_tgraded(a + b)
+
+
+def test_empty_window_is_a_valid_series():
+    p = parse("z1^2 + 1/7*z1 + 3")
+    empties = [
+        TGraded.from_poly(p, 0),
+        compose_poly(p, [tg(["z1", "z1^2"])], 0),
+        compose_poly(Poly.constant(0, 5), [], 0),
+        TGraded(1, [], 0) ** 2,
+        exp_tgraded(TGraded(1, [], 0)),
+        exp_tgraded(tg(["z1", "z1^2"]).truncate_t(0), z_trunc=3),
+        tg(["z1"]).dt(),
+    ]
+    for e in empties:
+        assert (e.t_order, e.coeffs) == (0, [])
+
+
+def reference_compose(p: Poly, values, t_order: int, z_trunc=None) -> TGraded:
+    """compose_poly through the generic substitution loop: one series product per
+    factor, each power of a value rebuilt by repeated products from one."""
+    arity = values[0].arity
+    one = TGraded.from_poly(Poly.one(arity), t_order, z_trunc)
+    vals = [v.truncate_t(min(v.t_order, t_order)) for v in values]
+    return substitute(p, vals, one.scale, TGraded.zero(arity, t_order, z_trunc))
+
+
+def gaussian_line(re: Fraction, im: Fraction) -> Poly:
+    return parse("z1 + z2").scale(gr(re, im))
+
+
+COMPOSE_VALUES = {
+    "a": tg(["z1 + 1/7*z2", "i*z2", "1/11*z1^2"], t_order=4, arity=2),
+    "b": TGraded(2, [parse("z2", arity=2), gaussian_line(Fraction(2, 13), Fraction(-1, 7))]),
+    "c": tg(["z1^2 - z2", "1/13*z1*z2", "z2^3"], z_trunc=4),
+    "short": TGraded(2, [gaussian_line(Fraction(1, 11), Fraction(3, 13))], 1, z_trunc=0),
+}
+COMPOSE_POLYS = {
+    "mixed": parse("1/7*z1^2*z2 + 2/11*i*z2^3 - 1/13*z1 + 5"),
+    "exponent 5": parse("z1^5 - 3/7*i*z1^4 + z2", arity=2),
+    "exponents 4 and 2": parse("(1/11+i)*z1^4*z2^2 + 1/13*i", arity=2),
+    "constant": Poly.constant(2, gr(Fraction(1, 7), Fraction(-1, 11))),
+    "zero": Poly.zero(2),
+    "three variables": parse("1/7*z1*z2*z3^2 + i*z1^2*z3 - z2 + 1/13*z1*z2*z3", arity=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_POLYS))
+def test_compose_matches_substitution_reference(name):
+    p = COMPOSE_POLYS[name]
+    orders = ("ab", "ba", "ca", "bc") if p.arity == 2 else ("abc", "cab", "bca")
+    for order in orders:
+        values = [COMPOSE_VALUES[name] for name in order]
+        for t_order in (1, 3, 5):
+            for cap in (None, 0, 3):
+                out, ref = compose_poly(p, values, t_order, cap), reference_compose(
+                    p, values, t_order, cap)
+                assert (out.t_order, out.z_trunc, out.coeffs) == (
+                    ref.t_order, ref.z_trunc, ref.coeffs)
+
+
+def test_compose_ignores_the_windows_of_unused_variables():
+    p = parse("z1^3 - 1/7*i*z1", arity=2)
+    a, short = COMPOSE_VALUES["a"], COMPOSE_VALUES["short"]
+    for cap in (None, 3):
+        out = compose_poly(p, [a, short], 5, cap)
+        assert (out.t_order, out.z_trunc) == (4, cap)
+        ref = reference_compose(p, [a, short], 5, cap)
+        assert (out.t_order, out.z_trunc, out.coeffs) == (ref.t_order, ref.z_trunc, ref.coeffs)
+    used = compose_poly(parse("z1^3 - z2", arity=2), [a, short], 5, 3)
+    assert (used.t_order, used.z_trunc) == (1, 0)
+
+
+def test_compose_arity_zero_and_mismatch():
+    c = Poly.constant(0, gr(Fraction(1, 7), Fraction(2, 13)))
+    out = compose_poly(c, [], 3, 2)
+    assert (out.t_order, out.z_trunc, out.coeffs) == (3, 2, [c, Poly.zero(0), Poly.zero(0)])
+    with pytest.raises(ValueError):
+        compose_poly(parse("z1*z2"), [COMPOSE_VALUES["a"], tg(["z1"], arity=3)], 2)
+    with pytest.raises(ValueError):
+        compose_poly(parse("z1*z2"), [COMPOSE_VALUES["a"]], 2)
