@@ -9,7 +9,8 @@ substituting d/dz_i for z_i in f.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, List, Sequence, Tuple
+from operator import sub
+from typing import Callable, Iterator, List, Sequence, Tuple, Union
 
 from .gaussrat import GaussianRational, ScalarLike
 from .poly import Poly, _Packed, _from_numerators, _numerators, _poly_dot
@@ -64,26 +65,28 @@ def laplacian_iter(p: Poly, k: int) -> Poly:
     return p
 
 
-def laplacian_powers_table(p: Poly, top: int, offsets: Sequence[int]) -> List[List[Poly]]:
-    """rows[j][m] = Delta^m P^{m + offsets[j]} for m = 0..top.
+def laplacian_powers_table(p: Poly, top: Union[int, Sequence[int]],
+                           offsets: Sequence[int]) -> List[List[Poly]]:
+    """rows[j][m] = Delta^m P^{m + offsets[j]} for m = 0..top, or 0..top[j] per row.
 
     The powers of P are formed in turn, each once, and each is dropped as
     soon as every row that reads it has its entry.  Each power's Laplacians
     are iterated on integers; only the entries the rows read are reduced.
     """
+    spans = [(k, top if isinstance(top, int) else top[j]) for j, k in enumerate(offsets)]
     rows: List[List[Poly]] = [[] for _ in offsets]
     power = Poly.one(p.arity)
-    for i in range(top + max(offsets) + 1):
+    for i in range(max(k + t for k, t in spans) + 1):
         if i:
             power = p if i == 1 else power * p
-        wanted = sorted({i - k for k in offsets if 0 <= i - k <= top})
+        wanted = sorted({i - k for k, t in spans if 0 <= i - k <= t})
         form, depth, images = _Packed.of(power, power.degree()), 0, {}
         for m in wanted:
             while depth < m and form.terms:
                 form, depth = form.laplacian(), depth + 1
             images[m] = form.poly()
-        for row, k in zip(rows, offsets):
-            if i - k in images:
+        for row, (k, t) in zip(rows, spans):
+            if 0 <= i - k <= t:
                 row.append(images[i - k])
     return rows
 
@@ -105,13 +108,21 @@ def sigma_squared(arity: int) -> Poly:
 
 
 def apply_D(f: Poly, g: Poly) -> Poly:
-    """f(D) g: substitute d/dz_i for z_i in f, apply the operator to g."""
+    """f(D) g: substitute d/dz_i for z_i in f, apply the operator to g; one integer
+    accumulator adds c b perm(e, s) z^(e - s) per pair (c z^s in f, b z^e in g)."""
     if f.arity != g.arity:
         raise ValueError("arity mismatch")
-    total = Poly.zero(f.arity)
-    for s, c in f.terms.items():
-        total = total + partial_multi(g, s).scale(c)
-    return total
+    fden, ops = _numerators(f.terms.items())
+    gden, nums = _numerators(g.terms.items())
+    acc: dict = {}
+    for s, cr, ci in ops:
+        for e, br, bi in nums:
+            k = math.prod(map(math.perm, e, s))  # perm(e, s) = 0 when e < s
+            if k:
+                acc_c = acc.setdefault(tuple(map(sub, e, s)), [0, 0])
+                acc_c[0] += (cr * br - ci * bi) * k
+                acc_c[1] += (cr * bi + ci * br) * k
+    return Poly._raw(f.arity, _from_numerators(acc.items(), fden * gden))
 
 
 def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:

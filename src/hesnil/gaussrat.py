@@ -57,14 +57,20 @@ class GaussianRational:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational._raw(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, str, Fraction)):
+                return NotImplemented  # so that c + p reaches Poly.__radd__
+            other = GaussianRational(other)
+        return GaussianRational._raw(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational._raw(self.re - o.re, self.im - o.im)
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, str, Fraction)):
+                return NotImplemented  # so that c - p reaches Poly.__rsub__
+            other = GaussianRational(other)
+        return GaussianRational._raw(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.coerce(other) - self

@@ -72,12 +72,15 @@ class HNReport:
 
 def is_hn(p: Poly) -> HNReport:
     """Full nilpotency report for p, both verdicts cross-checked."""
-    n = p.arity
+    return _hn_report(p, laplacian_powers(p))
+
+
+def _hn_report(p: Poly, laplacians: List[Poly]) -> HNReport:
+    """is_hn's report, given the Laplacian route [Delta^m (p^m) for m = 1..arity]."""
     order = p.order()
     order_field = None if p.is_zero() else int(order)
     low_order = (not p.is_zero()) and order < 2
     traces = trace_powers(p)
-    laplacians = laplacian_powers(p)
     verdict_matrix = all(t.is_zero() for t in traces)
     verdict_laplacian = all(v.is_zero() for v in laplacians)
     if verdict_matrix != verdict_laplacian:
@@ -87,7 +90,7 @@ def is_hn(p: Poly) -> HNReport:
         )
     harmonic = laplacians[0].is_zero() if laplacians else True
     return HNReport(
-        arity=n,
+        arity=p.arity,
         degree=p.degree(),
         order=order_field,
         low_order=low_order,

@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from math import ceil, factorial
@@ -24,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .gaussrat import GaussianRational
 from .poly import Poly, format_poly
 from .diffops import PolyVector, apply_D, grad, laplacian_powers_table, sigma_squared
-from .nilpotency import is_hn
+from .nilpotency import _hn_report, is_hn
 from .inversion import invert_general
 from .generators import (
     IsotropicSet,
@@ -335,7 +334,7 @@ def isotropy_check(p: Poly, d: int, m_max: int) -> Dict[Tuple[str, int], bool]:
         raise ValueError("P must be Hessian-nilpotent")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    return _annihilated(_ideal_ops(p), _vanishing_flags(p, m_max))
+    return _annihilated(_ideal_ops(p), _vanishing_flags(p, m_max)[0])
 
 
 def pd_qt_check(p: Poly, big_m: int) -> bool:
@@ -353,16 +352,16 @@ def pd_qt_check(p: Poly, big_m: int) -> bool:
     if not is_hn(p).is_hn:
         raise ValueError("P must be Hessian-nilpotent")
     top = big_m if d == 2 else max(big_m - 1, 2)
-    return _pd_pass(p, d, _vanishing_flags(p, top), big_m)
+    return _pd_pass(p, d, _vanishing_flags(p, top)[0], big_m)
 
 
-def _vanishing_flags(p: Poly, top: int) -> List[Poly]:
-    """The window W[m] = Delta^m P^{m+1} for m = 0..top.
-
-    The vanishing flags are the zero tests of W[1..]; a trial forms it once
-    and reads every power and iterated Laplacian it checks from it.
+def _vanishing_flags(p: Poly, top: int, hn_top: int = 0) -> Tuple[List[Poly], List[Poly]]:
+    """The window W[m] = Delta^m P^{m+1}, m = 0..top, and Delta^m P^m, m = 1..hn_top,
+    from one chain of powers of P.  The vanishing flags are the zero tests of W[1..];
+    a trial reads them and is_hn's Laplacian route (hn_top = n) off this one pass.
     """
-    return laplacian_powers_table(p, top, (1,))[0]
+    laplacians, window = laplacian_powers_table(p, (hn_top, top), (0, 1))
+    return window, laplacians[1:]
 
 
 def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[str]]:
@@ -375,13 +374,12 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     tag = (f"trial {index} ({cfg.generator_kind}, n={cfg.n}, d={cfg.d}, "
            f"params {json.dumps(cfg.generator_params, sort_keys=True)}, trial_seed {ts})")
 
-    # is_hn also cross-checks Delta^m P^m = 0 for m <= n against the traces
-    hn = is_hn(p).is_hn
+    # _pd_pass reads the window up to m = 2; the HN verdict shares its powers of P
+    window, laplacians = _vanishing_flags(p, max(big_m, 2), p.arity)
+    hn = _hn_report(p, laplacians).is_hn
     if not hn:
         failures.append(f"{tag}, is_hn: generator produced a non-HN polynomial")
 
-    # the spot checks of _pd_pass read the window up to m = 2
-    window = _vanishing_flags(p, max(big_m, 2))
     flags = [w.is_zero() for w in window[1:big_m + 1]]
 
     degree_t = max((m for m, zero in enumerate(flags, 1) if not zero), default=0)
@@ -442,6 +440,7 @@ def run_vanishing_full(cfg: ExperimentConfig) -> Tuple[List[VanishingReport], Li
     """
     workers = min(cfg.parallelism, cfg.trials, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_trial, itertools.repeat(cfg), range(cfg.trials)))
     else:

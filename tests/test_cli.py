@@ -159,7 +159,8 @@ def test_failure_tag_rebuilds_the_member(monkeypatch, kind, n, d, params):
 
     # a planted non-HN verdict makes the trial report a failure, with its tag
     monkeypatch.setattr(hesnil.vanishing, "build_member", recording)
-    monkeypatch.setattr(hesnil.vanishing, "is_hn", lambda p: SimpleNamespace(is_hn=False))
+    monkeypatch.setattr(hesnil.vanishing, "_hn_report",
+                        lambda p, laplacians: SimpleNamespace(is_hn=False))
     _, failures = hesnil.vanishing.run_trial(cfg, 1)
     assert len(failures) == 1
     tag = TAG.search(failures[0])
@@ -221,10 +222,10 @@ GOLDEN_CONFIG = {"n": 4, "d": 3, "generator": {"kind": "ph"}, "trials": 2,
 @pytest.mark.parametrize("error", [CriterionMismatchError, TheoremCheckError,
                                    GeneratorTheoremError])
 def test_vanishing_theorem_failure_exits_2(tmp_path, monkeypatch, error):
-    def broken_is_hn(p):
+    def broken_hn_report(p, laplacians):
         raise error("planted failure")
 
-    monkeypatch.setattr(hesnil.vanishing, "is_hn", broken_is_hn)
+    monkeypatch.setattr(hesnil.vanishing, "_hn_report", broken_hn_report)
     cfg_file = write(tmp_path / "cfg.json", json.dumps(GOLDEN_CONFIG))
     result = CliRunner().invoke(main, ["vanishing", "--config", cfg_file])
     assert result.exit_code == 2

@@ -94,6 +94,28 @@ def test_sigma_squared_and_apply_D():
     assert apply_D(Poly.one(2), parse("z1*z2")) == parse("z1*z2")
 
 
+def _apply_D_termwise(f, g):
+    """f(D) g by the termwise route: one partial_multi, scale and sum per term of f."""
+    total = Poly.zero(f.arity)
+    for s, c in f.terms.items():
+        total = total + partial_multi(g, s).scale(c)
+    return total
+
+
+@pytest.mark.parametrize("f, g", [
+    ("0", "z1^2*z2 + z2"),
+    ("z1^2 + z2", "0"),
+    ("3/2 - i", "z1^2*z2 + i*z2^3"),
+    ("z1^3*z2^2 + z1*z2", "z1^2*z2"),
+    ("2*z1^3 + i*z1", "z1^5 - 1/3*z1^2"),
+    ("(1/7 + 2/11*i)*z1^2 + 3/13*z2 - 1/11*i*z1*z2", "(5/13 - 1/7*i)*z1^3*z2 + 4/11*z1*z2^2 + 1/7"),
+], ids=["zero f", "zero g", "constant f", "deg f > deg g", "arity 1", "over 7, 11 and 13"])
+def test_apply_D_matches_the_termwise_route(f, g):
+    arity = 1 if "z2" not in f + g else 2
+    f, g = parse(f, arity=arity), parse(g, arity=arity)
+    assert apply_D(f, g) == _apply_D_termwise(f, g)
+
+
 def test_apply_D_is_linear_in_the_operator():
     rng = random.Random(5)
     for _ in range(10):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hesnil import GaussianRational, gr
+from hesnil import GaussianRational, gr, parse
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -34,6 +34,18 @@ def test_basic_arithmetic():
     assert a - b == gr(-2, 3)
     assert a * b == gr(5, 5)
     assert -a == gr(-1, -2)
+
+
+def test_scalar_and_poly_add_and_subtract_as_polys():
+    # the scalar steps aside, so Poly.__radd__ and __rsub__ answer
+    p = parse("z1 + z2")
+    assert gr(1, 1) + p == p + gr(1, 1) == parse("z1 + z2 + 1 + i")
+    assert gr(1, 1) - p == parse("1 + i - z1 - z2")
+    assert p - gr(1, 1) == -(gr(1, 1) - p)
+    with pytest.raises(TypeError):
+        gr(1) + object()
+    with pytest.raises(TypeError):
+        gr(1) - object()
 
 
 def test_division_by_complex():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from hesnil import (
     emit_report,
     is_hn,
     isotropy_check,
+    laplacian_powers,
     load_report_json,
     parse,
     pd_qt_check,
@@ -314,11 +317,12 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
                 depth[0] -= 1
         return inner
 
-    counted_is_hn = allowed(hesnil.nilpotency.is_hn)
+    # run_trial takes its verdict from _hn_report, which is_hn also wraps
+    counted_hn_report = allowed(hesnil.nilpotency._hn_report)
 
-    def counting_is_hn(q):
+    def counting_hn_report(q, laplacians):
         hn_calls.append(q)
-        return counted_is_hn(q)
+        return counted_hn_report(q, laplacians)
 
     laplacian_iter = hesnil.diffops.laplacian_iter
 
@@ -339,7 +343,7 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
                 stray.append(("power", degree))
         return poly_mul(a, b)
 
-    _rebind_everywhere(monkeypatch, hesnil.nilpotency.is_hn, counting_is_hn)
+    _rebind_everywhere(monkeypatch, hesnil.nilpotency._hn_report, counting_hn_report)
     _rebind_everywhere(monkeypatch, laplacian_iter, watched_laplacian_iter)
     monkeypatch.setattr(Poly, "__mul__", watched_mul)
     monkeypatch.setattr(hesnil.vanishing, "_vanishing_flags",
@@ -353,8 +357,20 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     # the window reaches P^{max(M,2)+1} and is_hn P^n; nothing forms a higher power
     top_power = max(max(cfg.t_order, 2) + 1, cfg.n)
     assert product_degrees and max(product_degrees) <= cfg.d * top_power
-    # P^2 is formed once by is_hn's table and once by the window's
-    assert len(squares) <= 2
+    # the verdict's Delta^m P^m and the window share one chain of powers
+    assert len(squares) == 1
+
+
+@pytest.mark.parametrize("big_m", [2, 6])
+@pytest.mark.parametrize("kind", hesnil.vanishing.GENERATOR_KINDS)
+def test_one_chain_gives_the_verdict_route_and_the_window(kind, big_m):
+    # n = 4 is above M = 2 and below M = 6
+    p, _ = build_member(4, 3, kind, {}, 11)
+    window, laplacians = hesnil.vanishing._vanishing_flags(p, big_m, p.arity)
+    assert laplacians == laplacian_powers(p)
+    assert window == hesnil.vanishing._vanishing_flags(p, big_m)[0]
+    assert len(window) == big_m + 1
+    assert hesnil.nilpotency._hn_report(p, laplacians) == is_hn(p)
 
 
 def test_flag_cross_check_compares_every_flag(monkeypatch):
@@ -418,7 +434,7 @@ class _RecordingPool:
 @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2), (None, None)])
 def test_parallelism_is_capped(monkeypatch, cpus, workers):
     _RecordingPool.created = []
-    monkeypatch.setattr(hesnil.vanishing, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(hesnil.vanishing.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(hesnil.vanishing, "run_trial",
                         lambda cfg, index: (index, [f"trial {index}"]))
@@ -428,3 +444,14 @@ def test_parallelism_is_capped(monkeypatch, cpus, workers):
     assert failures == ["trial 0", "trial 1", "trial 2"]
     # one CPU (or an unknown count) runs serially, without a pool
     assert _RecordingPool.created == ([] if workers is None else [workers])
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a run with workers > 1 imports the pool, and multiprocessing with it
+    src = os.path.dirname(os.path.dirname(hesnil.vanishing.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, hesnil.vanishing; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
