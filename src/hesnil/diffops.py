@@ -16,39 +16,37 @@ from .gaussrat import GaussianRational, ScalarLike
 from .poly import Poly, _Packed, _from_numerators, _numerators, _poly_dot
 
 
-def _linear_image(p: Poly, images: Callable) -> Poly:
-    """sum of k * c * z^key over the terms c * z^mono of p and the (key, k)
-    of images(mono), k an int, accumulated on integer numerators."""
-    den, nums = _numerators([(img, c) for m, c in p.terms.items() if (img := images(m))])
+def _linear_image(p: Poly, images: Callable, den: int = 1) -> Poly:
+    """sum of (kr + i ki) / den * c * z^key over the terms c * z^mono of p and the
+    (key, kr, ki) of images(mono), accumulated on integer numerators; the one
+    termwise derivative loop."""
+    pden, nums = _numerators([(img, c) for m, c in p.terms.items() if (img := images(m))])
     acc: dict = {}
+    get = acc.get
     for img, re, im in nums:
-        for key, k in img:
-            c = acc.get(key)
+        for key, kr, ki in img:
+            r, i = re * kr - im * ki, re * ki + im * kr
+            c = get(key)
             if c is None:
-                acc[key] = [re * k, im * k]
+                acc[key] = [r, i]
             else:
-                c[0] += re * k
-                c[1] += im * k
-    return Poly._raw(p.arity, _from_numerators(acc.items(), den))
+                c[0] += r
+                c[1] += i
+    return Poly._raw(p.arity, _from_numerators(acc.items(), pden * den))
 
 
 def partial(p: Poly, index: int) -> Poly:
     if not 0 <= index < p.arity:
         raise ValueError(f"variable index {index} out of range for arity {p.arity}")
-    return _linear_image(p, lambda m: ((m[:index] + (m[index] - 1,) + m[index + 1:], m[index]),)
+    return _linear_image(p, lambda m: ((m[:index] + (m[index] - 1,) + m[index + 1:], m[index], 0),)
                          if m[index] else ())
 
 
 def partial_multi(p: Poly, orders: Sequence[int]) -> Poly:
-    """d^|orders| p / dz^orders, computed termwise via falling factorials."""
+    """d^|orders| p / dz^orders, as apply_D of the monomial z^orders."""
     if len(orders) != p.arity:
         raise ValueError(f"need {p.arity} derivative orders, got {len(orders)}")
-
-    def image(mono):
-        k = math.prod(map(math.perm, mono, orders))  # perm(e, s) = 0 when e < s
-        return ((tuple(e - s for e, s in zip(mono, orders)), k),) if k else ()
-
-    return _linear_image(p, image)
+    return apply_D(Poly(p.arity, {tuple(orders): 1}), p)
 
 
 def laplacian(p: Poly) -> Poly:
@@ -95,8 +93,7 @@ def grad_pair(p: Poly, q: Poly) -> Poly:
     """<grad p, grad q> = sum_i (dp/dz_i)(dq/dz_i), bilinear."""
     if p.arity != q.arity:
         raise ValueError("arity mismatch")
-    pairs = [(partial(p, i), partial(q, i)) for i in range(p.arity)]
-    return _poly_dot(pairs) if pairs else Poly.zero(0)
+    return _poly_dot(p.arity, [(partial(p, i), partial(q, i)) for i in range(p.arity)])
 
 
 def sigma_squared(arity: int) -> Poly:
@@ -108,21 +105,18 @@ def sigma_squared(arity: int) -> Poly:
 
 
 def apply_D(f: Poly, g: Poly) -> Poly:
-    """f(D) g: substitute d/dz_i for z_i in f, apply the operator to g; one integer
-    accumulator adds c b perm(e, s) z^(e - s) per pair (c z^s in f, b z^e in g)."""
+    """f(D) g: substitute d/dz_i for z_i in f, apply the operator to g; the term
+    z^e of g has the image c perm(e, s) z^(e - s) per term c z^s of f."""
     if f.arity != g.arity:
         raise ValueError("arity mismatch")
     fden, ops = _numerators(f.terms.items())
-    gden, nums = _numerators(g.terms.items())
-    acc: dict = {}
-    for s, cr, ci in ops:
-        for e, br, bi in nums:
-            k = math.prod(map(math.perm, e, s))  # perm(e, s) = 0 when e < s
-            if k:
-                acc_c = acc.setdefault(tuple(map(sub, e, s)), [0, 0])
-                acc_c[0] += (cr * br - ci * bi) * k
-                acc_c[1] += (cr * bi + ci * br) * k
-    return Poly._raw(f.arity, _from_numerators(acc.items(), fden * gden))
+
+    def image(e):
+        # perm(e, s) = 0 when e < s
+        return [(tuple(map(sub, e, s)), cr * k, ci * k)
+                for s, cr, ci in ops if (k := math.prod(map(math.perm, e, s)))]
+
+    return _linear_image(g, image, fden)
 
 
 def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
@@ -150,18 +144,13 @@ def mixed_partial_pair(a: Poly, b: Poly, k: int) -> Poly:
     """sum over |s| = k of (k choose s) (d^s a)(d^s b)."""
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
-    total = Poly.zero(a.arity)
-    if k == 0:
-        return a * b
+    pairs, weights = [], []
     for s in compositions(k, a.arity):
         da = partial_multi(a, s)
-        if da.is_zero():
-            continue
-        db = partial_multi(b, s)
-        if db.is_zero():
-            continue
-        total = total + (da * db).scale(multinomial(k, s))
-    return total
+        if not da.is_zero() and not (db := partial_multi(b, s)).is_zero():
+            pairs.append((da, db))
+            weights.append(multinomial(k, s))
+    return _poly_dot(a.arity, pairs, weights)
 
 
 # -- vectors and matrices of polynomials -------------------------------------
@@ -201,7 +190,7 @@ class PolyVector:
     def dot(self, other: "PolyVector") -> Poly:
         if len(self) != len(other):
             raise ValueError("length mismatch")
-        return _poly_dot(list(zip(self.entries, other.entries)))
+        return _poly_dot(self.arity, list(zip(self.entries, other.entries)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyVector):
@@ -372,7 +361,8 @@ def leibniz_identity_check(p: Poly, m: int) -> Tuple[Poly, Poly]:
     if m < 1:
         raise ValueError("m must be at least 1")
     p_m, lhs = laplacian_powers_table(p, 1, (m,))[0]
-    rhs = (p_m * laplacian(p)).scale(m + 1) + (p ** (m - 1) * grad_pair(p, p)).scale(m * (m + 1))
+    rhs = _poly_dot(p.arity, [(p_m, laplacian(p)), (p ** (m - 1), grad_pair(p, p))],
+                    [m + 1, m * (m + 1)])
     return lhs, rhs
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .gaussrat import GaussianRational, ScalarLike, gr
-from .poly import Poly
+from .poly import Poly, _poly_dot
 from .diffops import PolyMatrix, PolyVector, cofactor_det, jacobian
 from .nilpotency import is_hn, trace_powers
 
@@ -201,10 +201,8 @@ def ph_construction(h: PolyVector) -> Tuple[Poly, bool]:
     if h.arity != n:
         raise ValueError("H must be a map C^n -> C^n in n variables")
     matrix = _doubling_matrix(n)
-    total = Poly.zero(2 * n)
-    for idx in range(n):
-        substituted = h[idx].substitute_linear(matrix)
-        total = total + Poly.variable(n + idx, 2 * n) * substituted
+    total = _poly_dot(2 * n, [(Poly.variable(n + i, 2 * n), h[i].substitute_linear(matrix))
+                              for i in range(n)])
     # Tr JH^m = 0 for m = 1..n is equivalent to nilpotency in char 0
     nilpotent = all(t.is_zero() for t in jacobian(h).trace_powers(n))
     return total, nilpotent
@@ -277,12 +275,10 @@ def crit2_check(alphas: IsotropicSet, d: int, m_max: int):
         vecs = alphas.vectors
         forms = [linear_form(v, n) for v in vecs]
         for m in range(2, d + 1):
-            total = Poly.zero(n)
-            for i in range(len(vecs)):
-                for j in range(len(vecs)):
-                    c = data.gram[i][j] ** m
-                    if not c.is_zero():
-                        total = total + (forms[i] ** (d - m) * forms[j] ** (d - m)).scale(c)
+            # sum over i, j of <a_i, a_j>^m h_i^(d-m) h_j^(d-m), the weight folded into h_i
+            powers = [f ** (d - m) for f in forms]
+            total = _poly_dot(n, [(a.scale(c ** m), b) for row, a in zip(data.gram, powers)
+                                  for c, b in zip(row, powers) if c])
             if not total.is_zero():
                 raise GeneratorTheoremError(
                     f"pairing power sum for m = {m} is nonzero for a HN sum of powers")

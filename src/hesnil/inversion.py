@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 from .diffops import PolyVector, grad_pair, laplacian, laplacian_powers_table, partial
 from .gaussrat import GaussianRational, ScalarLike
 from .nilpotency import is_hn
-from .poly import Poly, _Packed, exp_truncated
+from .poly import Poly, _Packed, _poly_dot, exp_truncated
 from .tgraded import TGraded, compose_poly, exp_tgraded
 
 
@@ -114,11 +114,10 @@ def invert_hn(p: Poly, t_order: int, z_cap: Optional[int] = None) -> DeformedPai
 
     slots = [p if z_cap is None else p.truncate(cap_for(1))]
     for m in range(2, t_order + 1):
-        acc = Poly.zero(p.arity)
-        for k in range(1, m // 2 + 1):
-            l = m - k
-            piece = slots[k - 1] * slots[l - 1]
-            acc = acc + (piece if k == l else piece.scale(2))
+        # the k = l pair once, the k < l pairs twice
+        ks = range(1, m // 2 + 1)
+        acc = _poly_dot(p.arity, [(slots[k - 1], slots[m - k - 1]) for k in ks],
+                        [1 if 2 * k == m else 2 for k in ks])
         q_m = laplacian(acc).scale(Fraction(1, 4 * (m - 1)))
         cap = cap_for(m)
         if cap is not None:
@@ -180,9 +179,7 @@ def potential_from_gradient(vec: PolyVector) -> Poly:
     piece of q.  Raises if vec is not an exact gradient.
     """
     n = vec.arity
-    radial = Poly.zero(n)
-    for i in range(n):
-        radial = radial + Poly.variable(i, n) * vec[i]
+    radial = _poly_dot(n, [(Poly.variable(i, n), vec[i]) for i in range(n)])
     q = Poly.zero(n)
     for e in sorted({sum(m) for m in radial.terms}):
         q = q + radial.graded_piece(e).scale(Fraction(1, e))
@@ -361,13 +358,11 @@ def exp_tilde_check(
     tilde = TGraded(n, [Poly.zero(n)] + list(pair.q.coeffs[1:]), m_top, pair.q.z_trunc)
     lhs = exp_tgraded(tilde, z_cap)
     dp = [partial(p, i) for i in range(n)]
-    dp2 = laplacian_powers_table(p, 1, (1,))[0][1]
+    quarter_dp2 = laplacian_powers_table(p, 1, (1,))[0][1].scale(Fraction(1, 4))
 
     def op(f: Poly) -> Poly:
-        out = laplacian(f).scale(Fraction(1, 2))
-        for i in range(n):
-            out = out + dp[i] * partial(f, i)
-        return out + dp2.scale(Fraction(1, 4)) * f
+        pairs = [(dp[i], partial(f, i)) for i in range(n)] + [(quarter_dp2, f)]
+        return laplacian(f).scale(Fraction(1, 2)) + _poly_dot(n, pairs)
 
     slots = [Poly.one(n)]
     f = Poly.one(n)
@@ -434,11 +429,7 @@ def binomial_identity_check(p: Poly, alpha: int, beta: int, m: int) -> Tuple[Pol
     if alpha < 1 or beta < 1 or m < 0:
         raise ValueError("need alpha >= 1, beta >= 1, m >= 0")
     rows_a, rows_b, rows_ab = laplacian_powers_table(p, m, (alpha, beta, alpha + beta))
-    lhs = rows_ab[m]
-    rhs = Poly.zero(p.arity)
-    for k in range(m + 1):
-        l = m - k
-        w = math.comb(m, k) * math.comb(m + alpha + beta, k + alpha)
-        rhs = rhs + (rows_a[k] * rows_b[l]).scale(w)
-    rhs = rhs.scale(Fraction(1, math.comb(alpha + beta, alpha)))
-    return lhs, rhs
+    ks = range(m + 1)
+    rhs = _poly_dot(p.arity, [(rows_a[k], rows_b[m - k]) for k in ks],
+                    [math.comb(m, k) * math.comb(m + alpha + beta, k + alpha) for k in ks])
+    return rows_ab[m], rhs.scale(Fraction(1, math.comb(alpha + beta, alpha)))

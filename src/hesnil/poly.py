@@ -175,9 +175,8 @@ class Poly:
             return self.scale(other)
         self._check_arity(other)
         # the smaller operand drives the outer loop
-        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        top = a.degree() + b.degree()
-        return _Packed.dot([(_Packed.of(a, top), _Packed.of(b, top))]).poly()
+        pair = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+        return _poly_dot(self.arity, [pair])
 
     def __rmul__(self, other: ScalarLike) -> "Poly":
         return self.scale(other)
@@ -357,10 +356,13 @@ class _Packed:
                        [(k, r, i) for k, (r, i) in acc.items() if r or i])
 
 
-def _poly_dot(pairs: Sequence[tuple]) -> Poly:
-    """sum of a * b over a nonempty list of pairs (a, b) of polynomials, as one fused dot."""
+def _poly_dot(arity: int, pairs: Sequence[tuple], weights: Optional[Sequence[int]] = None) -> Poly:
+    """sum of w * a * b over the pairs (a, b) of polynomials of this arity, w from weights
+    (default 1), as one fused dot; the zero polynomial when there are no pairs."""
+    if not pairs:
+        return Poly.zero(arity)
     top = max(a.degree() + b.degree() for a, b in pairs)
-    return _Packed.dot([(_Packed.of(a, top), _Packed.of(b, top)) for a, b in pairs]).poly()
+    return _Packed.dot([(_Packed.of(a, top), _Packed.of(b, top)) for a, b in pairs], weights).poly()
 
 
 def substitute(p: Poly, images: Sequence, lift: Callable, zero):

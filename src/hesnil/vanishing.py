@@ -93,10 +93,6 @@ class ExperimentConfig:
             if key not in data:
                 raise ConfigError(f"missing config key: {key}")
         n, d = data["n"], data["d"]
-        if not _is_int(n) or n < 2:
-            raise ConfigError("n must be an integer >= 2")
-        if not _is_int(d) or d < 2:
-            raise ConfigError("d must be an integer >= 2")
         gen = data["generator"]
         if not isinstance(gen, dict) or "kind" not in gen:
             raise ConfigError("generator must be an object with a 'kind'")
@@ -192,7 +188,12 @@ def _is_int(value) -> bool:
 
 
 def _member_params(n: int, d: int, kind: str, params: dict) -> dict:
-    """The generator params of kind, checked against n, with defaults filled in."""
+    """The generator params of kind, checked against n, with defaults filled in;
+    n and d are checked first."""
+    if not _is_int(n) or n < 2:
+        raise ConfigError("n must be an integer >= 2")
+    if not _is_int(d) or d < 2:
+        raise ConfigError("d must be an integer >= 2")
     if kind not in GENERATOR_KINDS:
         raise ConfigError(f"unknown generator kind: {kind!r}")
     if not isinstance(params, dict):

@@ -187,6 +187,16 @@ def test_generate_rejects_bad_params(params, message):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("kind", ["w", "wtilde", "ug", "pg", "ph"])
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_generate_rejects_degrees_below_two(kind, d):
+    result = CliRunner().invoke(main, ["generate", "--kind", kind, "--n", "4", "--d", d,
+                                       "--seed", "1"])
+    assert result.exit_code == 1
+    assert "Error: d must be an integer >= 2" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_vanishing_stdout_and_exit_zero(tmp_path):
     cfg_data = {"n": 4, "d": 3, "generator": {"kind": "ph"}, "trials": 2,
                 "seed": 7, "t_order": 4}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hesnil import (
+    GaussianRational,
     PolyMatrix,
     PolyVector,
     apply_D,
@@ -95,11 +96,19 @@ def test_sigma_squared_and_apply_D():
 
 
 def _apply_D_termwise(f, g):
-    """f(D) g by the termwise route: one partial_multi, scale and sum per term of f."""
-    total = Poly.zero(f.arity)
+    """f(D) g termwise: c b (e)_s z^(e - s) per pair (c z^s in f, b z^e in g), with
+    (e)_s = e (e - 1) ... (e - s + 1) per variable, in GaussianRational arithmetic."""
+    out = {}
     for s, c in f.terms.items():
-        total = total + partial_multi(g, s).scale(c)
-    return total
+        for e, b in g.terms.items():
+            k = 1
+            for ei, si in zip(e, s):
+                for j in range(si):
+                    k *= ei - j
+            if k:
+                mono = tuple(ei - si for ei, si in zip(e, s))
+                out[mono] = out.get(mono, GaussianRational(0)) + c * b * k
+    return Poly(f.arity, out)
 
 
 @pytest.mark.parametrize("f, g", [

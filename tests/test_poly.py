@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hesnil import GaussianRational, Poly, exp_truncated, format_poly, gr, parse
+from hesnil.poly import _poly_dot
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -208,6 +209,49 @@ def test_scale_matches_termwise_product(c):
                 assert type(part) is Fraction and part.denominator > 0
                 assert math.gcd(part.numerator, part.denominator) == 1
         assert p * c == out and c * p == out
+
+
+def _dot_termwise(arity, pairs, weights=None):
+    """sum of w * a * b by the termwise route: one product, scale and sum per pair."""
+    total = Poly.zero(arity)
+    for j, (a, b) in enumerate(pairs):
+        total = total + (a * b).scale(weights[j] if weights else 1)
+    return total
+
+
+def _pairs(arity, *texts):
+    """Consecutive texts as (a, b) pairs of polynomials of this arity."""
+    polys = [parse(t, arity=arity) for t in texts]
+    return list(zip(polys[::2], polys[1::2]))
+
+
+DOT_CASES = {
+    "empty, arity 0": (0, [], None),
+    "empty, arity 3": (3, [], None),
+    "zero factor": (2, _pairs(2, "z1 + i*z2", "0", "z1", "z2^2"), None),
+    "weights 0, 1 and 2": (2, _pairs(2, "z1^2 - z2", "z2 + 3", "i*z1", "z1*z2",
+                                     "z2", "z2 - 1/2*z1"), [0, 1, 2]),
+    "over 7, 11 and 13": (3, _pairs(3, "(1/7 + 2/11*i)*z1^2 + 3/13*z3", "(5/13 - 1/7*i)*z2 + 4/11",
+                                    "1/11*i*z1*z2 - 2/7", "1/13*z1 + 3*z3"), [2, 1]),
+    "cancels to zero": (2, _pairs(2, "1/7*z1 + 1/11*i*z2", "z1 - z2",
+                                  "1/7*z1 + 1/11*i*z2", "z2 - z1"), None),
+    "cancels in some terms": (2, _pairs(2, "1/7*z1 + 1/11*z2", "z1 + i*z2",
+                                        "1/7*z1", "-z1"), [1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(DOT_CASES))
+def test_poly_dot_matches_the_termwise_route(name):
+    arity, pairs, weights = DOT_CASES[name]
+    out = _poly_dot(arity, pairs, weights)
+    assert out.arity == arity
+    assert out == _dot_termwise(arity, pairs, weights)
+    for k in out.terms.values():
+        assert k
+        for part in (k.re, k.im):
+            assert type(part) is Fraction and math.gcd(part.numerator, part.denominator) == 1
+    if name.startswith("empty") or name == "cancels to zero":
+        assert out.terms == {}
 
 
 def test_evaluate_is_ring_morphism():

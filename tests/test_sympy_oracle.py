@@ -89,6 +89,18 @@ def test_apply_D(pair):
 
 
 @ORACLE
+@given(single.flatmap(lambda p: st.tuples(st.just(p), st.tuples(*[st.integers(0, 3)] * p.arity))))
+@example((Poly(2, {(1, 2): GaussianRational(Fraction(1, 7), 2), (0, 1): 1}), (2, 0)))
+@example((Poly(3, {(1, 1, 1): GaussianRational(0, Fraction(3, 11))}), (0, 0, 0)))
+@example((Poly(1, {(2,): 1, (0,): Fraction(1, 13)}), (3,)))
+def test_partial_multi(case):
+    # orders run past the degree, so some derivatives vanish
+    p, orders = case
+    xs = symbols("x", p.arity)
+    assert to_sympy(partial_multi(p, orders)) == to_sympy(p).diff(*zip(xs, orders))
+
+
+@ORACLE
 @given(single.flatmap(lambda p: st.tuples(st.just(p), st.lists(scalars, min_size=p.arity,
                                                                  max_size=p.arity))))
 def test_evaluate(case):
