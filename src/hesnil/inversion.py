@@ -80,7 +80,13 @@ def invert_general(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deform
     # every product of gradients below has degree at most t_order (deg P - 2) + 2
     top = t_order * (slots[0].degree() - 2) + 2
     grads = [[_Packed.of(partial(slots[0], i), top) for i in range(n)]]
+    last = 0 if slots[0].is_zero() else 1
     for m in range(2, t_order + 1):
+        if m > 2 * last:
+            # D = last is the last nonzero slot: each pair k + l = m' >= m > 2D has
+            # max(k, l) strictly between D and m', a zero slot by induction on m'
+            slots += [Poly.zero(n)] * (t_order + 1 - m)
+            break
         # the k = l pairs once, the k < l pairs twice
         pairs, weights = [], []
         for k in range(1, m // 2 + 1):
@@ -91,6 +97,7 @@ def invert_general(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deform
         if z_cap is not None:
             q_m = q_m.truncate(z_cap)
         slots.append(q_m)
+        last = last if q_m.is_zero() else m
         grads.append([_Packed.of(partial(q_m, i), top) for i in range(n)])
     return _pair(p, slots, z_cap, "general")
 

@@ -54,11 +54,14 @@ AFFORDABLE_T_ORDER = 10
 
 
 def alpha_bound(n: int, d: int) -> Fraction:
-    """Cutoff ((d-1)^(n-1) - (d-1)) / (d-2); degree 2 is handled separately."""
-    if d < 3:
-        raise ValueError("alpha_bound requires d >= 3")
+    """Cutoff ((d-1)^(n-1) - (d-1)) / (d-2), and its limit n - 2 at degree 2: for
+    P = z^T H z / 2, flag m holds exactly when H^{m+1} = 0, and H^n = 0."""
+    if d < 2:
+        raise ValueError("alpha_bound requires d >= 2")
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if d == 2:
+        return Fraction(n - 2)
     return Fraction((d - 1) ** (n - 1) - (d - 1), d - 2)
 
 
@@ -109,8 +112,7 @@ class ExperimentConfig:
             raise ConfigError("seed must be an integer")
         t_order = data.get("t_order")
         if t_order is None:
-            bound = alpha_bound(n, d) if d >= 3 else Fraction(0)
-            candidate = max(4, ceil(bound) + 2)
+            candidate = max(4, ceil(alpha_bound(n, d)) + 2)
             if candidate > AFFORDABLE_T_ORDER:
                 raise ConfigError(
                     "derived t_order exceeds the affordable default; set t_order explicitly")
@@ -358,8 +360,8 @@ def pd_qt_check(p: Poly, big_m: int) -> bool:
 
 def _vanishing_flags(p: Poly, top: int, hn_top: int = 0) -> Tuple[List[Poly], List[Poly]]:
     """The window W[m] = Delta^m P^{m+1}, m = 0..top, and Delta^m P^m, m = 1..hn_top,
-    from one chain of powers of P.  The vanishing flags are the zero tests of W[1..];
-    a trial reads them and is_hn's Laplacian route (hn_top = n) off this one pass.
+    from one chain of powers of P.  The vanishing flags up to top are the zero tests
+    of W[1..]; a trial reads them and is_hn's Laplacian route (hn_top = n) off this one pass.
     """
     laplacians, window = laplacian_powers_table(p, (hn_top, top), (0, 1))
     return window, laplacians[1:]
@@ -375,26 +377,29 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     tag = (f"trial {index} ({cfg.generator_kind}, n={cfg.n}, d={cfg.d}, "
            f"params {json.dumps(cfg.generator_params, sort_keys=True)}, trial_seed {ts})")
 
-    # _pd_pass reads the window up to m = 2; the HN verdict shares its powers of P
-    window, laplacians = _vanishing_flags(p, max(big_m, 2), p.arity)
+    # the isotropy, P(D) and cross-check steps read the window up to this m; the
+    # HN verdict shares its powers of P
+    window, laplacians = _vanishing_flags(p, max(min(big_m, 4), 2), p.arity)
     hn = _hn_report(p, laplacians).is_hn
     if not hn:
         failures.append(f"{tag}, is_hn: generator produced a non-HN polynomial")
+        window = _vanishing_flags(p, big_m)[0]
 
     flags = [w.is_zero() for w in window[1:big_m + 1]]
 
-    degree_t = max((m for m, zero in enumerate(flags, 1) if not zero), default=0)
-
     if hn:
-        # for HN P, Q_[m+1] = Delta^m P^{m+1} / (2^m m! (m+1)!) (the closed
-        # form); the gradient recurrence does not assume HN and must agree
+        # for HN P, Q_[m+1] = Delta^m P^{m+1} / (2^m m! (m+1)!) (the closed form),
+        # so the gradient recurrence, which does not assume HN, gives the flags past
+        # the window and must agree with it on the window's values
         pair = invert_general(p, big_m + 1)
-        off = [m for m in range(big_m + 1) if pair.q_slot(m + 1) != window[m].scale(
+        flags += [pair.q_slot(m + 1).is_zero() for m in range(len(flags) + 1, big_m + 1)]
+        off = [m for m in range(min(big_m, 4) + 1) if pair.q_slot(m + 1) != window[m].scale(
             Fraction(1, 2 ** m * factorial(m) * factorial(m + 1)))]
         if off:
             failures.append(f"{tag}, flag cross-check: invert_general's Q_[m+1] differs "
                             f"from Delta^m P^(m+1) / (2^m m! (m+1)!) at m = {off}")
 
+    degree_t = max((m for m, zero in enumerate(flags, 1) if not zero), default=0)
     d_actual = p.is_homogeneous()
     isotropy: Optional[Dict[str, Optional[bool]]] = None
     if hn and d_actual is not None and d_actual >= 2:
@@ -412,12 +417,8 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
             if not pd_ok:
                 failures.append(f"{tag}, P(D): degree-2 annihilation variant failed")
 
-    if cfg.d >= 3:
-        bound: Optional[Fraction] = alpha_bound(cfg.n, cfg.d)
-        respected = all(flags[m - 1] for m in range(1, big_m + 1) if m > bound)
-    else:
-        bound = None
-        respected = all(flags)
+    bound = alpha_bound(cfg.n, cfg.d)
+    respected = all(flags[m - 1] for m in range(1, big_m + 1) if m > bound)
 
     return (
         VanishingReport(

@@ -1,6 +1,7 @@
 """Deformed inversion pairs: the four routes, composition, and PDE identities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,7 +29,7 @@ from hesnil import (
     power_flow_check,
     qt_power,
 )
-from hesnil import PolyVector, build_member, partial
+from hesnil import PolyVector, build_member, grad_pair, partial
 from conftest import build_hn_corpus, random_order2_poly
 
 ALL_METHODS = (invert_general, invert_hn, invert_closed, pair_from_fixed_point)
@@ -68,6 +69,48 @@ def test_worked_nontrivial_pair():
         assert pair.q_slot(4).is_zero()
         assert deg_t(pair) == 1
         assert first_vanishing_index(pair) == 3
+
+
+def _gradient_recurrence(p, t_order, z_cap=None):
+    """Q_[1..t_order] slot by slot through grad_pair, with no early stop."""
+    def cap(q):
+        return q if z_cap is None else q.truncate(z_cap)
+
+    slots = [cap(p)]
+    for m in range(2, t_order + 1):
+        acc = Poly.zero(p.arity)
+        for k in range(1, m):
+            acc = acc + grad_pair(slots[k - 1], slots[m - k - 1])
+        slots.append(cap(acc.scale(Fraction(1, 2 * (m - 1)))))
+    return slots
+
+
+@pytest.mark.parametrize("member, t_order, z_cap, last", [
+    # D = 6, so the recurrence closes after Q_[12]
+    ((6, 3, "ph", 502001506), 16, None, 6),
+    # the cap zeroes Q_[5] and Q_[6], so the capped recurrence closes after Q_[8]
+    ((6, 3, "ph", 502001506), 16, 6, 4),
+    ((6, 3, "ph", 1000003), 12, None, 4),
+    ((4, 4, "ug", 3000009), 8, None, 1),
+])
+def test_general_closure_matches_the_full_recurrence(member, t_order, z_cap, last):
+    p, _ = build_member(*member[:3], {}, member[3])
+    pair = invert_general(p, t_order, z_cap)
+    slots = [pair.q_slot(m) for m in range(1, t_order + 1)]
+    assert slots == _gradient_recurrence(p, t_order, z_cap)
+    assert max(m for m, q in enumerate(slots, 1) if not q.is_zero()) == last
+
+
+def test_general_closure_on_random_and_degenerate_input():
+    rng = random.Random(4411)
+    for z_cap in (None, 5, None, 4):
+        p = random_order2_poly(rng, 3, 3)
+        assert [invert_general(p, 6, z_cap).q_slot(m) for m in range(1, 7)] == \
+            _gradient_recurrence(p, 6, z_cap)
+    # Q_[2] = 0 closes at once, and the zero P before any slot is formed
+    for p in (parse("(z1+i*z2)^3"), Poly.zero(2)):
+        assert [invert_general(p, 5).q_slot(m) for m in range(1, 6)] == \
+            _gradient_recurrence(p, 5)
 
 
 def test_method_tags():

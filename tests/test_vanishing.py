@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import hesnil.vanishing
+from hesnil.diffops import laplacian_powers_table
 from hesnil import (
     ConfigError,
     ExperimentConfig,
@@ -61,8 +62,11 @@ def test_alpha_bound_table():
     assert alpha_bound(4, 4) == Fraction(12)
     assert alpha_bound(4, 3) == Fraction(6)
     assert isinstance(alpha_bound(3, 5), Fraction)
+    # degree 2: n - 2, the d -> 2 limit of the cutoff
+    assert alpha_bound(3, 2) == Fraction(1)
+    assert alpha_bound(4, 2) == Fraction(2)
     with pytest.raises(ValueError):
-        alpha_bound(3, 2)
+        alpha_bound(3, 1)
     with pytest.raises(ValueError):
         alpha_bound(0, 4)
 
@@ -199,7 +203,7 @@ def test_degree_two_path():
         assert r.hn_verdict
         assert all(r.vanishing_flags)
         assert r.deg_t == 0
-        assert r.bound is None
+        assert r.bound == Fraction(2)
         assert r.bound_respected
         assert r.isotropy_pass == {"derivative_ideal": None, "pd_on_q": True}
 
@@ -298,6 +302,7 @@ def _rebind_everywhere(monkeypatch, original, replacement):
 @pytest.mark.parametrize("config", [
     {"n": 4, "d": 3, "generator": {"kind": "ph"}, "seed": 7, "t_order": 4},
     {"n": 4, "d": 4, "generator": {"kind": "pg"}, "seed": 3, "t_order": 3},
+    {"n": 4, "d": 4, "generator": {"kind": "pg"}, "seed": 3, "t_order": 6},
 ])
 def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     cfg = ExperimentConfig.from_dict({**config, "trials": 1})
@@ -354,8 +359,9 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     assert report.isotropy_pass == {"derivative_ideal": True, "pd_on_q": True}
     assert len(hn_calls) == 1 and hn_calls[0] == p
     assert stray == []
-    # the window reaches P^{max(M,2)+1} and is_hn P^n; nothing forms a higher power
-    top_power = max(max(cfg.t_order, 2) + 1, cfg.n)
+    # the window reaches P^{max(min(M,4),2)+1} and is_hn P^n; nothing forms a higher
+    # power, as the flags past the window come from the gradient recurrence
+    top_power = max(max(min(cfg.t_order, 4), 2) + 1, cfg.n)
     assert product_degrees and max(product_degrees) <= cfg.d * top_power
     # the verdict's Delta^m P^m and the window share one chain of powers
     assert len(squares) == 1
@@ -394,23 +400,44 @@ def test_flag_cross_check_compares_every_flag(monkeypatch):
 
 
 def test_flag_cross_check_compares_values(monkeypatch):
-    # a wrong but nonzero Q_[2] leaves every zero pattern as it was
-    cfg = ExperimentConfig.from_dict(
-        {"n": 6, "d": 3, "generator": {"kind": "ph"}, "trials": 1, "seed": 1, "t_order": 3})
+    # a wrong but nonzero Q_[slot + 1] leaves every zero pattern as it was; at
+    # t_order 6, flags 5 and 6 come from the recurrence and Q_[3] is still checked
     invert_general = hesnil.vanishing.invert_general
+    for slot, big_m, flags in ((1, 3, [False, False, False]),
+                               (2, 6, [False, False, False, True, True, True])):
+        cfg = ExperimentConfig.from_dict(
+            {"n": 6, "d": 3, "generator": {"kind": "ph"}, "trials": 1, "seed": 1,
+             "t_order": big_m})
 
-    def doubles_q2(p, t_order, z_cap=None):
-        pair = invert_general(p, t_order, z_cap)
-        slots = list(pair.q.coeffs)
-        slots[1] = slots[1].scale(2)
-        return dataclasses.replace(pair, q=TGraded(p.arity, slots, pair.t_order, z_cap))
+        def doubles_one_slot(p, t_order, z_cap=None, slot=slot):
+            pair = invert_general(p, t_order, z_cap)
+            slots = list(pair.q.coeffs)
+            slots[slot] = slots[slot].scale(2)
+            return dataclasses.replace(pair, q=TGraded(p.arity, slots, pair.t_order, z_cap))
 
-    monkeypatch.setattr(hesnil.vanishing, "invert_general", doubles_q2)
+        monkeypatch.setattr(hesnil.vanishing, "invert_general", doubles_one_slot)
+        report, failures = hesnil.vanishing.run_trial(cfg, 0)
+        assert report.vanishing_flags == flags
+        assert len(failures) == 1
+        assert "flag cross-check" in failures[0] and f"at m = [{slot}]" in failures[0]
+        assert "trial_seed 1000003" in failures[0]
+
+
+@pytest.mark.parametrize("n, d, kind, seed, big_m", [
+    *[(4, 3, kind, 31, 8) for kind in hesnil.vanishing.GENERATOR_KINDS],
+    (4, 4, "pg", 3, 8),
+    # trial seed 502001506: Q_[6] != 0, so flag 5 comes from the recurrence and is False
+    (6, 3, "ph", 502, 12),
+])
+def test_recurrence_flags_match_the_full_brute_row(n, d, kind, seed, big_m):
+    cfg = ExperimentConfig.from_dict(
+        {"n": n, "d": d, "generator": {"kind": kind}, "trials": 1, "seed": seed,
+         "t_order": big_m})
     report, failures = hesnil.vanishing.run_trial(cfg, 0)
-    assert report.vanishing_flags == [False, False, False]
-    assert len(failures) == 1
-    assert "flag cross-check" in failures[0]
-    assert "trial_seed 1000003" in failures[0]
+    assert failures == [] and report.hn_verdict
+    p, _ = build_member(n, d, kind, {}, seed * 1_000_003)
+    row = laplacian_powers_table(p, big_m, (1,))[0]
+    assert report.vanishing_flags == [w.is_zero() for w in row[1:]]
 
 
 class _RecordingPool:
