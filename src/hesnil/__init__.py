@@ -7,6 +7,8 @@ inversion pairs, the isotropic generator constructions, and the vanishing
 experiment harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .gaussrat import GaussianRational, gr
 from .poly import Poly, exp_truncated, format_poly, parse
 from .tgraded import TGraded, compose_poly, exp_tgraded
@@ -89,90 +91,8 @@ from .vanishing import (
     run_vanishing_full,
 )
 
-__version__ = "0.1.0"
+# every public name imported above; the submodules bound as a side effect are not
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
-__all__ = [
-    "GaussianRational",
-    "gr",
-    "Poly",
-    "parse",
-    "format_poly",
-    "exp_truncated",
-    "TGraded",
-    "compose_poly",
-    "exp_tgraded",
-    "partial",
-    "partial_multi",
-    "laplacian",
-    "laplacian_iter",
-    "grad",
-    "grad_pair",
-    "sigma_squared",
-    "apply_D",
-    "mixed_partial_pair",
-    "compositions",
-    "multinomial",
-    "leibniz_identity_check",
-    "laplacian_product_expansion",
-    "kfactorial_fD_identity",
-    "PolyVector",
-    "PolyMatrix",
-    "poly_det",
-    "hessian",
-    "jacobian",
-    "jacobian_det",
-    "HNReport",
-    "is_hn",
-    "trace_powers",
-    "laplacian_powers",
-    "CriterionMismatchError",
-    "DeformedPair",
-    "OrderViolationError",
-    "HNRequiredError",
-    "invert_general",
-    "invert_hn",
-    "invert_closed",
-    "invert_fixed_point",
-    "pair_from_fixed_point",
-    "potential_from_gradient",
-    "deg_t",
-    "first_vanishing_index",
-    "compose_check",
-    "burgers_residual",
-    "heat_residual",
-    "exp_formula_check",
-    "exp_tilde_check",
-    "qt_power",
-    "power_flow_check",
-    "higher_dt_power_check",
-    "binomial_identity_check",
-    "GeneratorTheoremError",
-    "IsotropicSet",
-    "IsotropyViolation",
-    "OrthogonalityViolation",
-    "PsiData",
-    "bilinear",
-    "linear_form",
-    "scalar_det",
-    "w_construction",
-    "w_construction_unchecked",
-    "w_tilde_construction",
-    "ug_construction",
-    "pg_construction",
-    "ph_construction",
-    "psi_data",
-    "crit2_check",
-    "sample_isotropic",
-    "alpha_bound",
-    "ExperimentConfig",
-    "VanishingReport",
-    "ConfigError",
-    "TheoremCheckError",
-    "build_member",
-    "run_vanishing_full",
-    "isotropy_check",
-    "pd_qt_check",
-    "emit_report",
-    "render_report",
-    "load_report_json",
-]
+__version__ = "0.1.0"

@@ -7,7 +7,7 @@ import sys
 
 import click
 
-from .poly import Poly, format_poly, parse
+from .poly import format_poly, parse
 from .nilpotency import CriterionMismatchError, is_hn
 from .generators import GeneratorTheoremError
 from .inversion import (
@@ -47,10 +47,6 @@ def _read_text(path: str) -> str:
         raise ValueError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
-def _read_poly(path: str) -> Poly:
-    return parse(_read_text(path))
-
-
 def _style_for(text: str) -> str:
     return "uv" if ("u" in text or "v" in text) else "z"
 
@@ -65,7 +61,7 @@ def main() -> None:
 def check_hn_command(poly_file: str) -> None:
     """Print the nilpotency report for the polynomial in POLY_FILE as JSON."""
     try:
-        p = _read_poly(poly_file)
+        p = parse(_read_text(poly_file))
         report = is_hn(p)
     except (ValueError, RuntimeError) as exc:
         raise click.ClickException(str(exc))

@@ -360,8 +360,8 @@ def leibniz_identity_check(p: Poly, m: int) -> Tuple[Poly, Poly]:
     """Both sides of Delta p^{m+1} = (m+1) p^m Delta p + m(m+1) p^{m-1} <grad p, grad p>."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    p_m, lhs = laplacian_powers_table(p, 1, (m,))[0]
-    rhs = _poly_dot(p.arity, [(p_m, laplacian(p)), (p ** (m - 1), grad_pair(p, p))],
+    (p_m1,), (p_m, lhs) = laplacian_powers_table(p, (0, 1), (m - 1, m))
+    rhs = _poly_dot(p.arity, [(p_m, laplacian(p)), (p_m1, grad_pair(p, p))],
                     [m + 1, m * (m + 1)])
     return lhs, rhs
 

@@ -134,12 +134,9 @@ def w_tilde_construction(xi_list: Sequence[IsotropicSet], max_degree: int) -> Po
         flat.extend(xi.vectors)
     IsotropicSet(n, flat, pairwise_orthogonal=True)
     total = Poly.zero(n)
-    for m, xi in enumerate(xi_list, start=1):
-        d = m + 1
-        if d > max_degree:
-            continue
-        for v in xi.vectors:
-            total = total + linear_form(v, n) ** d
+    for d, xi in enumerate(xi_list, start=2):
+        if d <= max_degree:
+            total = total + w_construction_unchecked(xi, d)
     return total
 
 

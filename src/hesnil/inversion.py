@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from .diffops import PolyVector, grad_pair, laplacian, laplacian_powers_table, partial
 from .gaussrat import GaussianRational, ScalarLike
-from .nilpotency import is_hn
+from .nilpotency import _hn_report, is_hn
 from .poly import Poly, _Packed, _poly_dot, exp_truncated
 from .tgraded import TGraded, compose_poly, exp_tgraded
 
@@ -138,19 +138,24 @@ def invert_closed(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deforme
 
     Q_[m] = Delta^{m-1} P^m / (2^{m-1} m! (m-1)!).
     """
-    _require_order2(p)
-    _require_hn(p, "invert_closed")
-    if t_order < 1:
-        raise ValueError("t_order must be at least 1")
-    return _pair(p, _power_slots(p, 1, t_order), z_cap, "closed_form")
+    error = "t_order must be at least 1" if t_order < 1 else None
+    return _pair(p, _power_slots(p, 1, t_order, "invert_closed", error), z_cap, "closed_form")
 
 
-def _power_slots(p: Poly, k: int, t_order: int) -> List[Poly]:
+def _power_slots(p: Poly, k: int, t_order: int, who: str, error: Optional[str]) -> List[Poly]:
     """k! Delta^m P^{m+k} / (2^m m! (m+k)!) for m < t_order: the t^m slots of Q_t^k.
 
-    At k = 1 slot m is Q_[m+1], so invert_closed and qt_power share it.
+    At k = 1 slot m is Q_[m+1], so invert_closed and qt_power share it.  The HN
+    verdict (both criteria, cross-checked) reads its Delta^m P^m off the same
+    chain of powers.  Raises on order < 2, then on non-HN input, then with the
+    caller's parameter error if there is one.
     """
-    rows = laplacian_powers_table(p, t_order - 1, (k,))[0]
+    _require_order2(p)
+    laplacians, rows = laplacian_powers_table(p, (p.arity, t_order - 1), (0, k))
+    if not _hn_report(p, laplacians[1:]).is_hn:
+        raise HNRequiredError(f"{who} needs Hessian-nilpotent input")
+    if error is not None:
+        raise ValueError(error)
     # k! / (m! (m+k)!) = 1 / (m! perm(m+k, m))
     return [row.scale(Fraction(1, 2 ** m * math.factorial(m) * math.perm(m + k, m)))
             for m, row in enumerate(rows)]
@@ -386,11 +391,8 @@ def qt_power(p: Poly, k: int, t_order: int, z_cap: Optional[int] = None) -> TGra
 
     Q_t^k = k! sum_m t^m Delta^m P^{m+k} / (2^m m! (m+k)!).
     """
-    _require_order2(p)
-    _require_hn(p, "qt_power")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return TGraded(p.arity, _power_slots(p, k, t_order), t_order, z_cap)
+    error = "k must be at least 1" if k < 1 else None
+    return TGraded(p.arity, _power_slots(p, k, t_order, "qt_power", error), t_order, z_cap)
 
 
 def power_flow_check(pair: DeformedPair, k: int, m: int) -> Tuple[TGraded, TGraded]:

@@ -157,8 +157,7 @@ class TGraded:
         return TGraded(self.arity, self.coeffs[:t_order], t_order, self.z_trunc)
 
     def truncate_z(self, max_degree: int) -> "TGraded":
-        cap = _min_cap(self.z_trunc, max_degree)
-        return TGraded(self.arity, [p.truncate(cap) for p in self.coeffs], self.t_order, cap)
+        return TGraded(self.arity, self.coeffs, self.t_order, _min_cap(self.z_trunc, max_degree))
 
     def map_coeffs(self, fn: Callable[[Poly], Poly], z_drop: int = 0) -> "TGraded":
         """Apply a z-operation to every coefficient.
@@ -168,10 +167,7 @@ class TGraded:
         0 for degree-preserving maps).
         """
         cap = None if self.z_trunc is None else max(self.z_trunc - z_drop, 0)
-        slots = [fn(p) for p in self.coeffs]
-        if cap is not None:
-            slots = [p.truncate(cap) for p in slots]
-        return TGraded(self.arity, slots, self.t_order, cap)
+        return TGraded(self.arity, [fn(p) for p in self.coeffs], self.t_order, cap)
 
     # -- comparison and display --------------------------------------------------
 

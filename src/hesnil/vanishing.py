@@ -26,7 +26,10 @@ from .diffops import PolyVector, apply_D, grad, laplacian_powers_table, sigma_sq
 from .nilpotency import _hn_report, is_hn
 from .inversion import invert_general
 from .generators import (
+    GeneratorTheoremError,
     IsotropicSet,
+    IsotropyViolation,
+    OrthogonalityViolation,
     _SCALE_POOL,
     pg_construction,
     ph_construction,
@@ -83,7 +86,7 @@ class ExperimentConfig:
         """Validate and normalize the JSON config schema.
 
         Required: n, d, generator{kind, params}, trials, seed.  t_order
-        defaults to bound + 2 when that is affordable.
+        defaults to max(4, ceil(bound) + 2), refused above AFFORDABLE_T_ORDER.
         """
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
@@ -155,25 +158,17 @@ def _trial_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
 
-def _random_exponent(rng: random.Random, arity: int, degree: int,
-                     offset: int = 0) -> Tuple[int, ...]:
-    """A random monomial exponent of the given total degree.
-
-    offset restricts support to variables offset..arity-1.
-    """
-    e = [0] * arity
-    for _ in range(degree):
-        e[rng.randrange(offset, arity)] += 1
-    return tuple(e)
-
-
 def _random_homogeneous(rng: random.Random, arity: int, degree: int,
                         terms: int = 3, offset: int = 0) -> Poly:
-    """A random nonzero homogeneous polynomial with small sparse support."""
+    """A random nonzero homogeneous polynomial with small sparse support, on the
+    variables offset..arity-1."""
     while True:
         acc: dict = {}
         for _ in range(terms):
-            mono = _random_exponent(rng, arity, degree, offset)
+            e = [0] * arity
+            for _ in range(degree):
+                e[rng.randrange(offset, arity)] += 1
+            mono = tuple(e)
             coeff = rng.choice(_SCALE_POOL)
             acc[mono] = acc.get(mono, GaussianRational(0)) + coeff
         p = Poly(arity, acc)
@@ -370,12 +365,18 @@ def _vanishing_flags(p: Poly, top: int, hn_top: int = 0) -> Tuple[List[Poly], Li
 def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[str]]:
     """One corpus member: report plus any theorem-level failure messages."""
     ts = _trial_seed(cfg.seed, index)
-    p, provenance = build_member(cfg.n, cfg.d, cfg.generator_kind, cfg.generator_params, ts, index)
-    big_m = cfg.t_order
-    failures: List[str] = []
     # all `hesnil generate` needs to rebuild the member
     tag = (f"trial {index} ({cfg.generator_kind}, n={cfg.n}, d={cfg.d}, "
            f"params {json.dumps(cfg.generator_params, sort_keys=True)}, trial_seed {ts})")
+    try:
+        p, provenance = build_member(cfg.n, cfg.d, cfg.generator_kind, cfg.generator_params,
+                                     ts, index)
+    except (TheoremCheckError, GeneratorTheoremError, IsotropyViolation,
+            OrthogonalityViolation) as exc:
+        # the config was validated, so these are generator bugs, not input errors
+        raise TheoremCheckError(f"{tag}, build_member: {exc}") from exc
+    big_m = cfg.t_order
+    failures: List[str] = []
 
     # the isotropy, P(D) and cross-check steps read the window up to this m; the
     # HN verdict shares its powers of P

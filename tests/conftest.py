@@ -155,3 +155,17 @@ def non_hn_corpus():
 @pytest.fixture(scope="session")
 def mixed_corpus():
     return build_mixed_corpus(208)
+
+
+def count_squares(monkeypatch, p):
+    """Record each P * P product formed while the patch is active; returns the list."""
+    squares = []
+    poly_mul = Poly.__mul__
+
+    def watched_mul(a, b):
+        if isinstance(b, Poly) and a == p and b == p:
+            squares.append(a.degree() + b.degree())
+        return poly_mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", watched_mul)
+    return squares

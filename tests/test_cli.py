@@ -13,6 +13,7 @@ from hesnil import (
     CriterionMismatchError,
     ExperimentConfig,
     GeneratorTheoremError,
+    OrthogonalityViolation,
     TheoremCheckError,
     format_poly,
     invert_general,
@@ -80,6 +81,13 @@ def test_invert_rejects_bad_input(tmp_path):
     low_order = write(tmp_path / "lin.txt", "z1 + z2")
     result = runner.invoke(main, ["invert", "--t-order", "3", low_order])
     assert result.exit_code != 0
+
+    # the HN check still comes before the t_order check
+    for t_order in ("3", "0"):
+        result = runner.invoke(main, ["invert", "--method", "closed", "--t-order", t_order,
+                                      non_hn])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: invert_closed needs Hessian-nilpotent input\n"
 
 
 def test_unreadable_input_and_negative_z_degree_exit_1(tmp_path):
@@ -241,6 +249,48 @@ def test_vanishing_theorem_failure_exits_2(tmp_path, monkeypatch, error):
     assert result.exit_code == 2
     assert "theorem check failed: planted failure" in result.stderr
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def _plant_non_nilpotent_jacobian(monkeypatch):
+    construction = hesnil.vanishing.ph_construction
+    monkeypatch.setattr(hesnil.vanishing, "ph_construction",
+                        lambda h: (construction(h)[0], False))
+
+
+def _plant_orthogonality_violation(monkeypatch):
+    def broken(*args, **kwargs):
+        raise OrthogonalityViolation("planted")
+
+    monkeypatch.setattr(hesnil.vanishing, "sample_isotropic", broken)
+
+
+@pytest.mark.parametrize("generator, plant, message", [
+    ({"kind": "ph"}, _plant_non_nilpotent_jacobian,
+     "triangular map produced a non-nilpotent Jacobian"),
+    ({"kind": "w", "params": {"count": 1}}, _plant_orthogonality_violation, "planted"),
+])
+def test_member_build_failure_names_its_trial(tmp_path, monkeypatch, generator, plant,
+                                              message):
+    cfg_data = {"n": 4, "d": 3, "generator": generator, "trials": 2, "seed": 5, "t_order": 3}
+    cfg_file = write(tmp_path / "cfg.json", json.dumps(cfg_data))
+    with monkeypatch.context() as patch:
+        plant(patch)
+        result = CliRunner().invoke(main, ["vanishing", "--config", cfg_file])
+    # a generator bug is a theorem-level failure, not a config error
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"build_member: {message}" in result.stderr
+    tag = TAG.search(result.stderr)
+    assert tag is not None, result.stderr
+    index, kind, n, d, params, seed = tag.groups()
+    assert (kind, json.loads(params)) == (generator["kind"], generator.get("params", {}))
+    # the tag rebuilds the member that the unplanted trial builds
+    report, _ = hesnil.vanishing.run_trial(ExperimentConfig.from_dict(cfg_data), int(index))
+    rebuilt = CliRunner().invoke(main, ["generate", "--kind", kind, "--n", n, "--d", d,
+                                        "--params", params, "--seed", seed])
+    assert rebuilt.exit_code == 0, rebuilt.output
+    provenance = json.loads("\n".join(rebuilt.stdout.splitlines()[1:]))
+    assert provenance == {**report.provenance, "trial": 0}
 
 
 def test_vanishing_missed_bound_exits_3(tmp_path, monkeypatch):

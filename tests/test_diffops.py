@@ -33,7 +33,7 @@ from hesnil import (
     is_hn,
 )
 from hesnil.diffops import laplacian_powers_table
-from conftest import random_order2_poly, random_poly
+from conftest import count_squares, random_order2_poly, random_poly
 
 
 def test_partial_basic():
@@ -178,6 +178,15 @@ def test_leibniz_power_identity():
         for m in range(1, 5):
             lhs, rhs = leibniz_identity_check(p, m)
             assert lhs == rhs
+
+
+def test_leibniz_check_reads_one_chain_of_powers(monkeypatch):
+    p, _ = build_member(4, 3, "ph", {}, 7)
+    expected = leibniz_identity_check(p, 3)
+    squares = count_squares(monkeypatch, p)
+    # P^2, P^3 and P^4 come from one chain, with no second P^{m-1}
+    assert leibniz_identity_check(p, 3) == expected
+    assert len(squares) == 1
 
 
 def test_laplacian_product_expansion():

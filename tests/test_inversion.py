@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import hesnil.nilpotency
 from hesnil import (
+    CriterionMismatchError,
     HNRequiredError,
     OrderViolationError,
     Poly,
@@ -30,7 +32,7 @@ from hesnil import (
     qt_power,
 )
 from hesnil import PolyVector, build_member, grad_pair, partial
-from conftest import build_hn_corpus, random_order2_poly
+from conftest import build_hn_corpus, count_squares, random_order2_poly
 
 ALL_METHODS = (invert_general, invert_hn, invert_closed, pair_from_fixed_point)
 
@@ -274,6 +276,44 @@ def test_order_and_hn_guards():
             method(parse("z1^2*z2"), 3)
     with pytest.raises(HNRequiredError):
         qt_power(parse("z1^2*z2"), 1, 3)
+    # order first, then HN, then the t_order and k checks
+    with pytest.raises(OrderViolationError):
+        invert_closed(parse("z1 + z2"), 0)
+    with pytest.raises(HNRequiredError, match="invert_closed needs Hessian-nilpotent input"):
+        invert_closed(parse("z1^2*z2"), 0)
+    with pytest.raises(HNRequiredError, match="qt_power needs Hessian-nilpotent input"):
+        qt_power(parse("z1^2*z2"), 0, 3)
+    with pytest.raises(ValueError, match="t_order must be at least 1"):
+        invert_closed(WORKED, 0)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        qt_power(WORKED, 0, 3)
+
+
+HN_MEMBERS = {"ph n=4 d=3": ("ph", 4, 3), "pg n=4 d=4": ("pg", 4, 4)}
+
+
+@pytest.mark.parametrize("member", sorted(HN_MEMBERS))
+def test_closed_form_and_its_verdict_share_one_chain(monkeypatch, member):
+    kind, n, d = HN_MEMBERS[member]
+    p, _ = build_member(n, d, kind, {}, 7)
+    expected = [invert_closed(p, 4), qt_power(p, 2, 4)]
+    squares = count_squares(monkeypatch, p)
+    assert invert_closed(p, 4) == expected[0]
+    assert len(squares) == 1
+    assert qt_power(p, 2, 4) == expected[1]
+    assert len(squares) == 2
+
+
+@pytest.mark.parametrize("member", sorted(HN_MEMBERS))
+def test_closed_form_cross_checks_both_criteria(monkeypatch, member):
+    kind, n, d = HN_MEMBERS[member]
+    p, _ = build_member(n, d, kind, {}, 7)
+    # a matrix route that disagrees with the Laplacian route is a bug, never a verdict
+    monkeypatch.setattr(hesnil.nilpotency, "trace_powers", lambda q: [Poly.one(q.arity)])
+    with pytest.raises(CriterionMismatchError):
+        invert_closed(p, 4)
+    with pytest.raises(CriterionMismatchError):
+        qt_power(p, 2, 4)
 
 
 def test_z_cap_matches_truncated_exact():
