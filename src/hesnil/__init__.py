@@ -34,7 +34,8 @@ from .diffops import (
     poly_det,
     sigma_squared,
 )
-from .nilpotency import CriterionMismatchError, HNReport, is_hn, laplacian_powers, trace_powers
+from .nilpotency import (
+    CriterionMismatchError, HNReport, TheoremCheckError, is_hn, laplacian_powers, trace_powers)
 from .inversion import (
     DeformedPair,
     HNRequiredError,
@@ -79,7 +80,6 @@ from .generators import (
 from .vanishing import (
     ConfigError,
     ExperimentConfig,
-    TheoremCheckError,
     VanishingReport,
     alpha_bound,
     build_member,

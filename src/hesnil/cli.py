@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 
 from .poly import format_poly, parse
-from .nilpotency import CriterionMismatchError, is_hn
-from .generators import GeneratorTheoremError
+from .nilpotency import TheoremCheckError, is_hn
 from .inversion import (
     deg_t,
     first_vanishing_index,
@@ -19,9 +19,8 @@ from .inversion import (
     pair_from_fixed_point,
 )
 from .vanishing import (
-    ConfigError,
+    GENERATOR_KINDS,
     ExperimentConfig,
-    TheoremCheckError,
     build_member,
     emit_report,
     render_report,
@@ -51,20 +50,35 @@ def _style_for(text: str) -> str:
     return "uv" if ("u" in text or "v" in text) else "z"
 
 
+@contextmanager
+def _failures():
+    """Turn a raised library failure into an exit code: 2 for a theorem-level
+    failure, which only a bug can cause, and 1 for bad input."""
+    try:
+        yield
+    except TheoremCheckError as exc:
+        click.echo(f"theorem check failed: {exc}", err=True)
+        sys.exit(2)
+    except (ValueError, RuntimeError) as exc:
+        raise click.ClickException(str(exc))
+
+
 @click.group()
 def main() -> None:
-    """Exact tools for Hessian-nilpotent polynomials over Gaussian rationals."""
+    """Exact tools for Hessian-nilpotent polynomials over Gaussian rationals.
+
+    Exit codes: 0 ok; 1 bad input or config; 2 a theorem-level check failed
+    (an implementation bug); 3 a conjecture-level vanishing failed beyond
+    the bound (vanishing only; recorded, not fatal to the run).
+    """
 
 
 @main.command("check-hn")
 @click.argument("poly_file", type=click.Path(exists=True, dir_okay=False))
 def check_hn_command(poly_file: str) -> None:
     """Print the nilpotency report for the polynomial in POLY_FILE as JSON."""
-    try:
-        p = parse(_read_text(poly_file))
-        report = is_hn(p)
-    except (ValueError, RuntimeError) as exc:
-        raise click.ClickException(str(exc))
+    with _failures():
+        report = is_hn(parse(_read_text(poly_file)))
     click.echo(json.dumps(report.to_json_dict(), indent=2))
 
 
@@ -78,12 +92,9 @@ def check_hn_command(poly_file: str) -> None:
 @click.argument("poly_file", type=click.Path(exists=True, dir_okay=False))
 def invert_command(method: str, t_order: int, z_degree, poly_file: str) -> None:
     """Print Q_[1..M] of the deformed inversion pair plus a JSON summary."""
-    try:
+    with _failures():
         text = _read_text(poly_file)
-        p = parse(text)
-        pair = _INVERTERS[method](p, t_order, z_cap=z_degree)
-    except (ValueError, RuntimeError) as exc:
-        raise click.ClickException(str(exc))
+        pair = _INVERTERS[method](parse(text), t_order, z_cap=z_degree)
     style = _style_for(text)
     for m in range(1, pair.t_order + 1):
         click.echo(f"Q_[{m}] = {format_poly(pair.q_slot(m), style=style)}")
@@ -97,7 +108,7 @@ def invert_command(method: str, t_order: int, z_degree, poly_file: str) -> None:
 
 
 @main.command("generate")
-@click.option("--kind", type=click.Choice(["w", "wtilde", "ug", "pg", "ph"]),
+@click.option("--kind", type=click.Choice(GENERATOR_KINDS),
               required=True, help="Which construction to sample.")
 @click.option("--n", "n", type=int, required=True, help="Number of variables.")
 @click.option("--d", "d", type=int, required=True, help="Target degree.")
@@ -110,10 +121,8 @@ def generate_command(kind: str, n: int, d: int, seed: int, params_text: str) -> 
         params = json.loads(params_text)
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"--params is not valid JSON: {exc}")
-    try:
+    with _failures():
         p, provenance = build_member(n, d, kind, params, seed)
-    except (ValueError, RuntimeError) as exc:
-        raise click.ClickException(str(exc))
     style = "uv" if kind in _UV_KINDS else "z"
     click.echo(format_poly(p, style=style))
     click.echo(json.dumps(provenance, indent=2))
@@ -124,26 +133,14 @@ def generate_command(kind: str, n: int, d: int, seed: int, params_text: str) -> 
               type=click.Path(exists=True, dir_okay=False),
               help="Path to the experiment config JSON.")
 def vanishing_command(config_path: str) -> None:
-    """Run the vanishing-window experiment described by the config.
-
-    Exit codes: 0 all theorem-level checks passed; 2 a theorem-level check
-    failed (an implementation bug); 3 a conjecture-level vanishing failed
-    beyond the bound (recorded, not fatal to the run).
-    """
-    try:
-        data = json.loads(_read_text(config_path))
-    except json.JSONDecodeError as exc:
-        raise click.ClickException(f"config is not valid JSON: {exc}")
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-    try:
+    """Run the vanishing-window experiment described by the config."""
+    with _failures():
+        try:
+            data = json.loads(_read_text(config_path))
+        except json.JSONDecodeError as exc:
+            raise click.ClickException(f"config is not valid JSON: {exc}")
         cfg = ExperimentConfig.from_dict(data)
         reports, failures = run_vanishing_full(cfg)
-    except (ConfigError, ValueError) as exc:
-        raise click.ClickException(str(exc))
-    except (CriterionMismatchError, TheoremCheckError, GeneratorTheoremError) as exc:
-        click.echo(f"theorem check failed: {exc}", err=True)
-        sys.exit(2)
     if cfg.out:
         emit_report(reports, cfg.format, cfg.out)
         click.echo(f"wrote {len(reports)} report(s) to {cfg.out}")

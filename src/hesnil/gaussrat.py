@@ -150,9 +150,7 @@ class GaussianRational:
         return f"{self.re}{sign}{tail}"
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 def gr(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:

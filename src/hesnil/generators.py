@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .gaussrat import GaussianRational, ScalarLike, gr
 from .poly import Poly, _poly_dot
 from .diffops import PolyMatrix, PolyVector, cofactor_det, jacobian
-from .nilpotency import is_hn, trace_powers
+from .nilpotency import TheoremCheckError, is_hn, trace_powers
 
 # the class by name: typing caches subscriptions by argument, so a class
 # object here would keep every re-imported gaussrat module alive
@@ -30,7 +30,7 @@ class OrthogonalityViolation(ValueError):
     """Two vectors supposed to be orthogonal have <a, b> != 0."""
 
 
-class GeneratorTheoremError(RuntimeError):
+class GeneratorTheoremError(TheoremCheckError):
     """A consequence that is a theorem for these constructions failed to hold."""
 
 

@@ -43,11 +43,6 @@ def _require_order2(p: Poly) -> None:
         )
 
 
-def _require_hn(p: Poly, who: str) -> None:
-    if not is_hn(p).is_hn:
-        raise HNRequiredError(f"{who} needs Hessian-nilpotent input")
-
-
 @dataclass(frozen=True)
 class DeformedPair:
     source: Poly
@@ -112,7 +107,8 @@ def invert_hn(p: Poly, t_order: int, z_cap: Optional[int] = None) -> DeformedPai
     window; the returned slots are all exact through z_cap.
     """
     _require_order2(p)
-    _require_hn(p, "invert_hn")
+    if not is_hn(p).is_hn:
+        raise HNRequiredError("invert_hn needs Hessian-nilpotent input")
     if t_order < 1:
         raise ValueError("t_order must be at least 1")
 

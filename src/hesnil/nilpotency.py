@@ -17,7 +17,11 @@ from .diffops import hessian, laplacian_powers_table
 from .poly import Poly, format_poly
 
 
-class CriterionMismatchError(RuntimeError):
+class TheoremCheckError(RuntimeError):
+    """A consequence that is a theorem failed: an implementation bug, never bad input."""
+
+
+class CriterionMismatchError(TheoremCheckError):
     """The matrix and Laplacian verdicts disagreed; by design unreachable."""
 
 
@@ -56,18 +60,9 @@ class HNReport:
     is_hn: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "arity": self.arity,
-            "degree": self.degree,
-            "order": self.order,
-            "low_order": self.low_order,
-            "harmonic": self.harmonic,
-            "traces": [format_poly(t) for t in self.traces],
-            "laplacians": [format_poly(v) for v in self.laplacians],
-            "verdict_matrix": self.verdict_matrix,
-            "verdict_laplacian": self.verdict_laplacian,
-            "is_hn": self.is_hn,
-        }
+        """The fields in field order, with each polynomial formatted."""
+        return dict(vars(self), traces=[format_poly(t) for t in self.traces],
+                    laplacians=[format_poly(v) for v in self.laplacians])
 
 
 def is_hn(p: Poly) -> HNReport:

@@ -35,14 +35,6 @@ Monomial = tuple  # exponent vector, one nonnegative int per variable
 ORDER_INF = math.inf  # order of the zero polynomial
 
 
-def mono_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
-def grlex_key(mono: Monomial):
-    return (mono_degree(mono), mono)
-
-
 class Poly:
     __slots__ = ("arity", "terms")
 
@@ -104,7 +96,7 @@ class Poly:
         """Lowest total degree among terms; ORDER_INF for the zero polynomial."""
         if not self.terms:
             return ORDER_INF
-        return min(mono_degree(m) for m in self.terms)
+        return min(sum(m) for m in self.terms)
 
     def degree(self) -> int:
         """Highest total degree; -1 for the zero polynomial."""
@@ -118,7 +110,7 @@ class Poly:
         """
         if not self.terms:
             return None
-        degs = {mono_degree(m) for m in self.terms}
+        degs = {sum(m) for m in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -215,13 +207,13 @@ class Poly:
 
     def truncate(self, max_degree: int) -> "Poly":
         """Drop every term of total degree greater than max_degree."""
-        out = {m: c for m, c in self.terms.items() if mono_degree(m) <= max_degree}
+        out = {m: c for m, c in self.terms.items() if sum(m) <= max_degree}
         if len(out) == len(self.terms):
             return self
         return Poly._raw(self.arity, out)
 
     def graded_piece(self, degree: int) -> "Poly":
-        out = {m: c for m, c in self.terms.items() if mono_degree(m) == degree}
+        out = {m: c for m, c in self.terms.items() if sum(m) == degree}
         return Poly._raw(self.arity, out)
 
     def substitute_linear(
@@ -259,7 +251,7 @@ class Poly:
     # -- display -----------------------------------------------------------
 
     def sorted_monomials(self) -> list:
-        return sorted(self.terms, key=grlex_key, reverse=True)
+        return sorted(self.terms, key=lambda m: (sum(m), m), reverse=True)
 
     def __str__(self) -> str:
         return format_poly(self)

@@ -23,10 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .gaussrat import GaussianRational
 from .poly import Poly, format_poly
 from .diffops import PolyVector, apply_D, grad, laplacian_powers_table, sigma_squared
-from .nilpotency import _hn_report, is_hn
+from .nilpotency import TheoremCheckError, _hn_report, is_hn
 from .inversion import invert_general
 from .generators import (
-    GeneratorTheoremError,
     IsotropicSet,
     IsotropyViolation,
     OrthogonalityViolation,
@@ -38,10 +37,6 @@ from .generators import (
     w_construction,
     w_tilde_construction,
 )
-
-
-class TheoremCheckError(RuntimeError):
-    """A consequence that is a theorem failed on a corpus member."""
 
 
 class ConfigError(ValueError):
@@ -238,57 +233,61 @@ def build_member(n: int, d: int, kind: str, params: dict, trial_seed: int,
     provenance: dict = {"kind": kind, "trial": index, "trial_seed": ts,
                         "n": n, "d": d}
 
-    if kind == "w":
-        family = sample_isotropic(n, params["count"], ts, pairwise_orthogonal=True)
-        provenance["vectors"] = [_format_vector(v) for v in family]
-        return w_construction(family, d), provenance
+    # the params are valid, so an isotropy or orthogonality failure below is a sampler bug
+    try:
+        if kind == "w":
+            family = sample_isotropic(n, params["count"], ts, pairwise_orthogonal=True)
+            provenance["vectors"] = [_format_vector(v) for v in family]
+            return w_construction(family, d), provenance
 
-    if kind == "wtilde":
-        counts = params["counts"]
-        total = sum(counts)
-        pool = sample_isotropic(n, total, ts, pairwise_orthogonal=True)
-        sets, start = [], 0
-        for c in counts:
-            sets.append(IsotropicSet(n, pool.vectors[start:start + c],
-                                     pairwise_orthogonal=True))
-            start += c
-        provenance["vectors"] = [[_format_vector(v) for v in s] for s in sets]
-        return w_tilde_construction(sets, max_degree=d), provenance
+        if kind == "wtilde":
+            counts = params["counts"]
+            total = sum(counts)
+            pool = sample_isotropic(n, total, ts, pairwise_orthogonal=True)
+            sets, start = [], 0
+            for c in counts:
+                sets.append(IsotropicSet(n, pool.vectors[start:start + c],
+                                         pairwise_orthogonal=True))
+                start += c
+            provenance["vectors"] = [[_format_vector(v) for v in s] for s in sets]
+            return w_tilde_construction(sets, max_degree=d), provenance
 
-    if kind == "ug":
-        k = params["k"]
-        betas = sample_isotropic(n, k, ts, pairwise_orthogonal=True)
-        g = _random_homogeneous(rng, k, d)
-        provenance["vectors"] = [_format_vector(v) for v in betas]
-        provenance["inner"] = format_poly(g)
-        return ug_construction(g, betas), provenance
+        if kind == "ug":
+            k = params["k"]
+            betas = sample_isotropic(n, k, ts, pairwise_orthogonal=True)
+            g = _random_homogeneous(rng, k, d)
+            provenance["vectors"] = [_format_vector(v) for v in betas]
+            provenance["inner"] = format_poly(g)
+            return ug_construction(g, betas), provenance
 
-    if kind == "pg":
+        if kind == "pg":
+            half = n // 2
+            g = _random_homogeneous(rng, half, d)
+            provenance["inner"] = format_poly(g)
+            return pg_construction(g), provenance
+
+        # ph
         half = n // 2
-        g = _random_homogeneous(rng, half, d)
-        provenance["inner"] = format_poly(g)
-        return pg_construction(g), provenance
-
-    # ph
-    half = n // 2
-    components = []
-    for i in range(half):
-        if i == half - 1:
-            components.append(Poly.zero(half))
-        elif i == 0:
-            components.append(_random_homogeneous(rng, half, d - 1,
-                                                  terms=2, offset=i + 1))
-        elif rng.random() < 0.5:
-            components.append(_random_homogeneous(rng, half, d - 1,
-                                                  terms=2, offset=i + 1))
-        else:
-            components.append(Poly.zero(half))
-    h = PolyVector(components)
-    p, nilpotent = ph_construction(h)
-    if not nilpotent:
-        raise TheoremCheckError("triangular map produced a non-nilpotent Jacobian")
-    provenance["map"] = [format_poly(c) for c in components]
-    return p, provenance
+        components = []
+        for i in range(half):
+            if i == half - 1:
+                components.append(Poly.zero(half))
+            elif i == 0:
+                components.append(_random_homogeneous(rng, half, d - 1,
+                                                      terms=2, offset=i + 1))
+            elif rng.random() < 0.5:
+                components.append(_random_homogeneous(rng, half, d - 1,
+                                                      terms=2, offset=i + 1))
+            else:
+                components.append(Poly.zero(half))
+        h = PolyVector(components)
+        p, nilpotent = ph_construction(h)
+        if not nilpotent:
+            raise TheoremCheckError("triangular map produced a non-nilpotent Jacobian")
+        provenance["map"] = [format_poly(c) for c in components]
+        return p, provenance
+    except (IsotropyViolation, OrthogonalityViolation) as exc:
+        raise TheoremCheckError(str(exc)) from exc
 
 
 def _annihilated(ops: Sequence[Tuple[str, Poly]],
@@ -371,9 +370,7 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     try:
         p, provenance = build_member(cfg.n, cfg.d, cfg.generator_kind, cfg.generator_params,
                                      ts, index)
-    except (TheoremCheckError, GeneratorTheoremError, IsotropyViolation,
-            OrthogonalityViolation) as exc:
-        # the config was validated, so these are generator bugs, not input errors
+    except TheoremCheckError as exc:
         raise TheoremCheckError(f"{tag}, build_member: {exc}") from exc
     big_m = cfg.t_order
     failures: List[str] = []
@@ -381,7 +378,10 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     # the isotropy, P(D) and cross-check steps read the window up to this m; the
     # HN verdict shares its powers of P
     window, laplacians = _vanishing_flags(p, max(min(big_m, 4), 2), p.arity)
-    hn = _hn_report(p, laplacians).is_hn
+    try:
+        hn = _hn_report(p, laplacians).is_hn
+    except TheoremCheckError as exc:
+        raise TheoremCheckError(f"{tag}, is_hn: {exc}") from exc
     if not hn:
         failures.append(f"{tag}, is_hn: generator produced a non-HN polynomial")
         window = _vanishing_flags(p, big_m)[0]

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
+import hesnil.nilpotency
 import hesnil.vanishing
 from hesnil import (
     CriterionMismatchError,
@@ -247,8 +248,17 @@ def test_vanishing_theorem_failure_exits_2(tmp_path, monkeypatch, error):
     cfg_file = write(tmp_path / "cfg.json", json.dumps(GOLDEN_CONFIG))
     result = CliRunner().invoke(main, ["vanishing", "--config", cfg_file])
     assert result.exit_code == 2
-    assert "theorem check failed: planted failure" in result.stderr
+    assert result.stderr.startswith("theorem check failed: trial 0 (ph, ")
+    assert TAG.search(result.stderr) is not None, result.stderr
+    assert result.stderr.endswith(", is_hn: planted failure\n")
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_theorem_failures_share_one_base():
+    assert issubclass(CriterionMismatchError, TheoremCheckError)
+    assert issubclass(GeneratorTheoremError, TheoremCheckError)
+    assert (TheoremCheckError is hesnil.vanishing.TheoremCheckError
+            is hesnil.nilpotency.TheoremCheckError)
 
 
 def _plant_non_nilpotent_jacobian(monkeypatch):
@@ -291,6 +301,31 @@ def test_member_build_failure_names_its_trial(tmp_path, monkeypatch, generator, 
     assert rebuilt.exit_code == 0, rebuilt.output
     provenance = json.loads("\n".join(rebuilt.stdout.splitlines()[1:]))
     assert provenance == {**report.provenance, "trial": 0}
+
+
+def _plant_criterion_mismatch(monkeypatch):
+    # a nonzero trace makes the matrix verdict disagree with the Laplacian one
+    monkeypatch.setattr(hesnil.nilpotency, "trace_powers", lambda p, max_m=None: [p])
+
+
+@pytest.mark.parametrize("args, plant", [
+    (["generate", "--kind", "ph", "--n", "4", "--d", "3", "--seed", "7"],
+     _plant_non_nilpotent_jacobian),
+    (["generate", "--kind", "w", "--n", "4", "--d", "3", "--seed", "7"],
+     _plant_orthogonality_violation),
+    (["check-hn", "POLY"], _plant_criterion_mismatch),
+    (["invert", "--method", "closed", "--t-order", "3", "POLY"], _plant_criterion_mismatch),
+    (["invert", "--method", "hn", "--t-order", "3", "POLY"], _plant_criterion_mismatch),
+])
+def test_theorem_failure_exits_2_in_every_command(tmp_path, monkeypatch, args, plant):
+    poly_file = write(tmp_path / "p.txt", WORKED_TEXT)
+    plant(monkeypatch)
+    result = CliRunner().invoke(main, [poly_file if a == "POLY" else a for a in args])
+    # a planted bug is a theorem-level failure, not bad input
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("theorem check failed: ")
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
 
 
 def test_vanishing_missed_bound_exits_3(tmp_path, monkeypatch):
