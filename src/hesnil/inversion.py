@@ -25,7 +25,7 @@ from .diffops import PolyVector, grad_pair, laplacian, laplacian_powers_table, p
 from .gaussrat import GaussianRational, ScalarLike
 from .nilpotency import _hn_report, is_hn
 from .poly import Poly, _Packed, _poly_dot, exp_truncated
-from .tgraded import TGraded, compose_poly, exp_tgraded
+from .tgraded import TGraded, _compose_polys, exp_tgraded
 
 
 class OrderViolationError(ValueError):
@@ -74,7 +74,7 @@ def invert_general(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deform
     slots = [p if z_cap is None else p.truncate(z_cap)]
     # every product of gradients below has degree at most t_order (deg P - 2) + 2
     top = t_order * (slots[0].degree() - 2) + 2
-    grads = [[_Packed.of(partial(slots[0], i), top) for i in range(n)]]
+    acc, grads = _Packed.of(slots[0], top), []
     last = 0 if slots[0].is_zero() else 1
     for m in range(2, t_order + 1):
         if m > 2 * last:
@@ -82,18 +82,18 @@ def invert_general(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deform
             # max(k, l) strictly between D and m', a zero slot by induction on m'
             slots += [Poly.zero(n)] * (t_order + 1 - m)
             break
+        grads.append([acc.partial(i) for i in range(n)])
         # the k = l pairs once, the k < l pairs twice
         pairs, weights = [], []
         for k in range(1, m // 2 + 1):
             pairs += zip(grads[k - 1], grads[m - k - 1])
             weights += [1 if 2 * k == m else 2] * n
-        acc = _Packed.dot(pairs, weights).poly() if pairs else Poly.zero(n)
-        q_m = acc.scale(Fraction(1, 2 * (m - 1)))
+        acc = _Packed.dot(pairs, weights)
+        acc.den *= 2 * (m - 1)
         if z_cap is not None:
-            q_m = q_m.truncate(z_cap)
-        slots.append(q_m)
-        last = last if q_m.is_zero() else m
-        grads.append([_Packed.of(partial(q_m, i), top) for i in range(n)])
+            acc = acc.truncate(z_cap)
+        slots.append(acc.poly())
+        last = last if not acc.terms else m
     return _pair(p, slots, z_cap, "general")
 
 
@@ -143,13 +143,16 @@ def _power_slots(p: Poly, k: int, t_order: int, who: str, error: Optional[str]) 
 
     At k = 1 slot m is Q_[m+1], so invert_closed and qt_power share it.  The HN
     verdict (both criteria, cross-checked) reads its Delta^m P^m off the same
-    chain of powers.  Raises on order < 2, then on non-HN input, then with the
-    caller's parameter error if there is one.
+    chain of powers, as soon as P^n is formed.  Raises on order < 2, then on
+    non-HN input, then with the caller's parameter error if there is one.
     """
     _require_order2(p)
-    laplacians, rows = laplacian_powers_table(p, (p.arity, t_order - 1), (0, k))
-    if not _hn_report(p, laplacians[1:]).is_hn:
-        raise HNRequiredError(f"{who} needs Hessian-nilpotent input")
+
+    def refuse_non_hn(laplacians: List[Poly]) -> None:
+        if not _hn_report(p, laplacians[1:]).is_hn:
+            raise HNRequiredError(f"{who} needs Hessian-nilpotent input")
+
+    _, rows = laplacian_powers_table(p, (p.arity, t_order - 1), (0, k), refuse_non_hn)
     if error is not None:
         raise ValueError(error)
     # k! / (m! (m+k)!) = 1 / (m! perm(m+k, m))
@@ -175,7 +178,7 @@ def invert_fixed_point(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Li
     dp = [partial(p, i) for i in range(n)]
     g = list(base)
     for _ in range(t_order):
-        composed = [compose_poly(dp[i], g, t_order, z_cap) for i in range(n)]
+        composed = _compose_polys(dp, g, [t_order] * n, z_cap)
         g = [base[i] + composed[i].shift_t(1) for i in range(n)]
     return [PolyVector([g[i].coeff(j) for i in range(n)]) for j in range(t_order + 1)]
 
@@ -209,10 +212,6 @@ def pair_from_fixed_point(p: Poly, t_order: int, z_cap: Optional[int] = None) ->
 
 
 # -- t-graded operator helpers -------------------------------------------------
-
-
-def tg_partial(a: TGraded, index: int) -> TGraded:
-    return a.map_coeffs(lambda p: partial(p, index), z_drop=1)
 
 
 def tg_laplacian(a: TGraded) -> TGraded:
@@ -266,25 +265,21 @@ def compose_check(
     coords = [Poly.variable(i, n) for i in range(n)]
     dp = [partial(p, i) for i in range(n)]
     dq = [[partial(pair.q.coeff(j), i) for i in range(n)] for j in range(pair.t_order)]
-    residuals = []
+    identity = [TGraded.from_poly(coords[i], m_top, z_cap) for i in range(n)]
     if direction == "fg":
         g_vec = [
             TGraded(n, [coords[i]] + [dq[j][i] for j in range(pair.t_order)], m_top, z_cap)
             for i in range(n)
         ]
-        for i in range(n):
-            comp = compose_poly(dp[i], g_vec, pair.t_order, z_cap)
-            resid = g_vec[i] - comp.shift_t(1) - TGraded.from_poly(coords[i], m_top, z_cap)
-            residuals.append(resid)
-    else:
-        f_vec = [TGraded(n, [coords[i], -dp[i]], m_top, z_cap) for i in range(n)]
-        for i in range(n):
-            acc = f_vec[i]
-            for j in range(pair.t_order):
-                comp = compose_poly(dq[j][i], f_vec, m_top - (j + 1), z_cap)
-                acc = acc + comp.shift_t(j + 1)
-            residuals.append(acc - TGraded.from_poly(coords[i], m_top, z_cap))
-    return residuals
+        comps = _compose_polys(dp, g_vec, [pair.t_order] * n, z_cap)
+        return [g_vec[i] - comps[i].shift_t(1) - identity[i] for i in range(n)]
+    f_vec = [TGraded(n, [coords[i], -dp[i]], m_top, z_cap) for i in range(n)]
+    # every dq[j][i] composed at once, on one set of powers of F
+    ts = range(pair.t_order)
+    comps = _compose_polys([dq[j][i] for i in range(n) for j in ts], f_vec,
+                           [m_top - (j + 1) for _ in range(n) for j in ts], z_cap)
+    return [sum((comps[i * len(ts) + j].shift_t(j + 1) for j in ts), f_vec[i]) - identity[i]
+            for i in range(n)]
 
 
 def burgers_residual(pair: DeformedPair, form: str = "gradient") -> TGraded:
@@ -294,17 +289,27 @@ def burgers_residual(pair: DeformedPair, form: str = "gradient") -> TGraded:
     form "laplacian": dQ/dt - (1/4) Delta(Q^2)         (HN P)
     """
     q = pair.q
-    if form == "gradient":
-        rhs = TGraded.zero(q.arity, q.t_order, q.z_trunc)
-        for i in range(q.arity):
-            d = tg_partial(q, i)
-            rhs = rhs + d * d
-        rhs = rhs.scale(Fraction(1, 2))
-    elif form == "laplacian":
-        rhs = tg_laplacian(q * q).scale(Fraction(1, 4))
-    else:
+    if form == "laplacian":
+        return q.dt() - tg_laplacian(q * q).scale(Fraction(1, 4))
+    if form != "gradient":
         raise ValueError("form must be 'gradient' or 'laplacian'")
-    return q.dt() - rhs
+    if q.t_order == 0:
+        raise ValueError("cannot differentiate an empty window")
+    n, cap = q.arity, None if q.z_trunc is None else max(q.z_trunc - 1, 0)
+    top = 2 * max(c.degree() for c in q.coeffs)
+    forms, one = [_Packed.of(c, top) for c in q.coeffs], _Packed.of(Poly.one(n), top)
+    grads = [[f.partial(i) for i in range(n)] for f in forms]
+    slots = []
+    for j in range(q.t_order - 1):
+        # 2 * slot j = 2(j+1) Q_[j+2] - sum_{k+l=j} <grad Q_[k+1], grad Q_[l+1]>, k < l twice
+        pairs, weights = [(forms[j + 1], one)], [2 * (j + 1)]
+        for k in range(j // 2 + 1):
+            pairs += zip(grads[k], grads[j - k])
+            weights += [-1 if 2 * k == j else -2] * n
+        acc = _Packed.dot(pairs, weights)
+        acc.den *= 2
+        slots.append((acc if cap is None else acc.truncate(cap)).poly())
+    return TGraded(n, slots, q.t_order - 1, cap)
 
 
 def heat_residual(p: Poly, pair: DeformedPair, s: ScalarLike, z_cap: int) -> TGraded:

@@ -8,8 +8,8 @@ Display order is graded lexicographic, highest total degree first.
 Products, Laplacians and derivatives run on plain ints: each operand's
 coefficients become Gaussian-integer pairs over one common denominator, the
 lcm of its own, and each output coefficient is reduced once at the end.  The
-private _Packed form keeps a whole chain (a matrix power, iterated Laplacians)
-on ints and reduces only what the chain returns.
+private _Packed form keeps a whole chain (matrix powers, Laplacians, the gradient
+recurrence, a truncated exp series) on ints and reduces only what it returns.
 
 Two variable naming styles are understood by the text grammar:
 
@@ -148,7 +148,16 @@ class Poly:
     def __sub__(self, other: Union["Poly", ScalarLike]) -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.constant(self.arity, other)
-        return self + (-other)
+        self._check_arity(other)
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            c = out.get(mono)
+            c = -coeff if c is None else c - coeff
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+        return Poly._raw(self.arity, out)
 
     def __rsub__(self, other: ScalarLike) -> "Poly":
         return Poly.constant(self.arity, other) - self
@@ -327,6 +336,19 @@ class _Packed:
         return _Packed(pairs[0][0].arity, pairs[0][0].width, den,
                        [(k, r, i) for k, (r, i) in acc.items() if r or i])
 
+    def partial(self, index: int) -> "_Packed":
+        """d/dz_index: key - (1 << shift) times the exponent e > 0; keys stay distinct."""
+        s, mask = self.shifts[index], (1 << self.width) - 1
+        return _Packed(self.arity, self.width, self.den, [
+            (k - (1 << s), r * e, i * e) for k, r, i in self.terms if (e := k >> s & mask)])
+
+    def truncate(self, max_degree: int) -> "_Packed":
+        """The terms of total degree <= max_degree: key * ones sums all fields into the top one."""
+        ones, mask = sum(1 << s for s in self.shifts), (1 << self.width) - 1
+        head = max(self.shifts, default=0)
+        return _Packed(self.arity, self.width, self.den, [
+            t for t in self.terms if t[0] * ones >> head & mask <= max_degree])
+
     def laplacian(self) -> "_Packed":
         """sum_i d^2/dz_i^2: per variable with exponent e > 1, key - (2 << shift) times e(e-1)."""
         mask = (1 << self.width) - 1
@@ -394,15 +416,14 @@ def exp_truncated(p: Poly, s: ScalarLike, max_degree: int) -> Poly:
     ord_p = p.order()
     if ord_p < 1:
         raise ValueError("exp_truncated needs order >= 1 (no constant term)")
-    s = GaussianRational.coerce(s)
-    result = Poly.one(p.arity)
-    pk = Poly.one(p.arity)
-    k = 1
-    while k * ord_p <= max_degree:
-        pk = (pk * p).truncate(max_degree)
-        result = result + pk.scale(s ** k * Fraction(1, math.factorial(k)))
-        k += 1
-    return result
+    s, top = GaussianRational.coerce(s), max_degree + p.degree()
+    x, pk = _Packed.of(p, top), _Packed.of(Poly.one(p.arity), top)
+    # the truncated chain p^k meets its scalars s^k / k!, packed constants, in one dot
+    pairs = [(pk, pk)]
+    for k in range(1, max_degree // ord_p + 1):
+        pk = _Packed.dot([(pk, x)]).truncate(max_degree)
+        pairs.append((pk, _Packed.of(Poly.constant(p.arity, s ** k / math.factorial(k)), top)))
+    return _Packed.dot(pairs).poly()
 
 
 # -- text grammar ------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from .gaussrat import GaussianRational, ScalarLike
 from .poly import Poly, _Packed, exp_truncated
@@ -200,48 +200,59 @@ class TGraded:
         return f"TGraded(t_order={self.t_order}, z_trunc={self.z_trunc}, {self})"
 
 
-def compose_poly(
-    p: Poly,
-    values: Sequence[TGraded],
-    t_order: int,
-    z_trunc: Optional[int] = None,
-) -> TGraded:
-    """Substitute one series per variable of p; window and z cap join only the series p uses.
-    On packed slots: each power is formed once from the next lower one, each term's product
-    stays packed with its coefficient folded in, each output slot is one dot over all terms."""
-    if len(values) != p.arity:
-        raise ValueError(f"need {p.arity} series, got {len(values)}")
-    if not values:
-        return TGraded.from_poly(p, t_order, z_trunc)
-    arity = values[0].arity
-    top_exp = [max(col) for col in zip(*p.terms)]
-    used = [j for j, e in enumerate(top_exp) if e]
-    if any(values[j].arity != arity for j in used):
-        raise ValueError("every series must share one arity")
-    t = min([t_order] + [values[j].t_order for j in used])
-    for j in used:
-        z_trunc = _min_cap(z_trunc, values[j].z_trunc)
-    degs = [max([q.degree() for q in v.coeffs[:t]] + [0]) for v in values]
-    top = max((sum(e * d for e, d in zip(m, degs)) for m in p.terms), default=0)
+def compose_poly(p: Poly, values: Sequence[TGraded], t_order: int,
+                 z_trunc: Optional[int] = None) -> TGraded:
+    """Substitute one series per variable of p; window and z cap join only the series p uses."""
+    return _compose_polys([p], values, [t_order], z_trunc)[0]
+
+
+def _compose_polys(polys: Sequence[Poly], values: Sequence[TGraded], t_orders: Sequence[int],
+                   z_trunc: Optional[int] = None) -> List[TGraded]:
+    """compose_poly of each polynomial at its own t_order, on one set of packed powers per
+    series: each power is formed once from the next lower one, through the widest window a
+    polynomial using it reads; each term's product stays packed with its coefficient folded
+    in, each output slot is one dot over all terms."""
+    arity = values[0].arity if values else 0
+    plans, reach = [], {}  # reach[j]: (widest window, highest power) read of series j
+    for p, t in zip(polys, t_orders):
+        if len(values) != p.arity:
+            raise ValueError(f"need {p.arity} series, got {len(values)}")
+        top_exp = [max(col) for col in zip(*p.terms)]
+        used = [j for j, e in enumerate(top_exp) if e]
+        if any(values[j].arity != arity for j in used):
+            raise ValueError("every series must share one arity")
+        t, z = min([t] + [values[j].t_order for j in used]), z_trunc
+        for j in used:
+            z = _min_cap(z, values[j].z_trunc)
+            w, e = reach.get(j, (0, 0))
+            reach[j] = (max(w, t), max(e, top_exp[j]))
+        plans.append((p, t, z))
+    degs = {j: max([q.degree() for q in values[j].coeffs[:w]] + [0]) for j, (w, _) in reach.items()}
+    top = max((sum(e * degs[j] for j, e in enumerate(m) if e) for p in polys for m in p.terms),
+              default=0)
     one, zero = (_Packed.of(Poly.constant(arity, c), top) for c in (1, 0))
 
-    def mul(a: list, b: list) -> list:
+    def mul(a: list, b: list, t: int) -> list:
         return [_Packed.dot(ps) if ps else zero for ps in _slot_pairs(a, b, t)]
 
-    powers = {j: [[_Packed.of(q, top) for q in values[j].coeffs[:t]]] for j in used}
-    for j in used:
-        while len(powers[j]) < top_exp[j]:
-            powers[j].append(mul(powers[j][-1], powers[j][0]))
-    out: list = [[] for _ in range(t)]
-    for m, c in p.terms.items():
-        factors = [powers[j][e - 1] for j, e in enumerate(m) if e] or [[one]]
-        x = [_Packed.of(Poly.constant(arity, c), top)]
-        for f in factors[:-1]:
-            x = mul(x, f)
-        for acc, ps in zip(out, _slot_pairs(x, factors[-1], t)):
-            acc += ps
-    slots = [_Packed.dot(ps).poly() if ps else Poly.zero(arity) for ps in out]
-    return TGraded(arity, slots, t, z_trunc)
+    powers = {}
+    for j, (w, e) in reach.items():
+        powers[j] = [[_Packed.of(q, top) for q in values[j].coeffs[:w]]]
+        while len(powers[j]) < e:
+            powers[j].append(mul(powers[j][-1], powers[j][0], w))
+    results = []
+    for p, t, z in plans:
+        out: list = [[] for _ in range(t)]
+        for m, c in p.terms.items():
+            factors = [powers[j][e - 1] for j, e in enumerate(m) if e] or [[one]]
+            x = [_Packed.of(Poly.constant(arity, c), top)]
+            for f in factors[:-1]:
+                x = mul(x, f, t)
+            for acc, ps in zip(out, _slot_pairs(x, factors[-1], t)):
+                acc += ps
+        slots = [_Packed.dot(ps).poly() if ps else Poly.zero(arity) for ps in out]
+        results.append(TGraded(arity, slots, t, z))
+    return results
 
 
 def exp_tgraded(a: TGraded, z_trunc: Optional[int] = None) -> TGraded:

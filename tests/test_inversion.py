@@ -31,7 +31,7 @@ from hesnil import (
     power_flow_check,
     qt_power,
 )
-from hesnil import PolyVector, build_member, grad_pair, partial
+from hesnil import DeformedPair, PolyVector, TGraded, build_member, grad_pair, partial
 from conftest import build_hn_corpus, count_squares, random_order2_poly
 
 ALL_METHODS = (invert_general, invert_hn, invert_closed, pair_from_fixed_point)
@@ -188,6 +188,59 @@ def test_burgers_residual_both_forms():
     assert burgers_residual(hn_pair, form="laplacian").is_zero()
     with pytest.raises(ValueError):
         burgers_residual(pair, form="other")
+
+
+def _burgers_gradient_reference(q):
+    """dQ/dt - 1/2 sum_i (d_i Q)^2 by series products: one TGraded product and sum per i."""
+    rhs = TGraded.zero(q.arity, q.t_order, q.z_trunc)
+    for i in range(q.arity):
+        d = q.map_coeffs(lambda c: partial(c, i), z_drop=1)
+        rhs = rhs + d * d
+    return q.dt() - rhs.scale(Fraction(1, 2))
+
+
+def test_gradient_burgers_residual_matches_the_series_route_off_the_solution():
+    rng = random.Random(19)
+    sources = [WORKED, parse("z1^2*z2 + 1/7*i*z2^3 - 2/11*z1*z2^2"),
+               random_order2_poly(rng, 3, 4), build_member(4, 3, "ph", {}, 7)[0]]
+    for p in sources:
+        for t_order, cap in ((1, None), (4, None), (4, 5), (5, 3), (3, 0)):
+            pair = invert_general(p, t_order, z_cap=cap)
+            slots = list(pair.q.coeffs)
+            if t_order > 1:
+                slots[1] = slots[1].scale(2)  # Q_[2] doubled: no longer a solution
+            q = TGraded(p.arity, slots, t_order, cap)
+            perturbed = DeformedPair(p, q, t_order, "perturbed")
+            out, ref = burgers_residual(perturbed), _burgers_gradient_reference(q)
+            assert (out.t_order, out.z_trunc, out.coeffs) == (ref.t_order, ref.z_trunc, ref.coeffs)
+            if t_order > 1 and not slots[1].is_zero() and cap != 0:
+                assert not out.is_zero()
+            assert burgers_residual(pair).is_zero()
+    with pytest.raises(ValueError, match="empty window"):
+        burgers_residual(DeformedPair(WORKED, TGraded(WORKED.arity, [], 0), 0, "empty"))
+
+
+def test_closed_form_refuses_non_hn_input_once_p_to_the_n_is_formed(monkeypatch):
+    p = parse("z1^3 + z1*z2^2 + z2*z3^2")
+    steps = []
+    poly_mul = Poly.__mul__
+
+    def watched_mul(a, b):
+        if isinstance(b, Poly) and b == p:
+            steps.append(a.degree())
+        return poly_mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", watched_mul)
+    for refuse in (lambda: invert_closed(p, 12), lambda: qt_power(p, 2, 12)):
+        steps.clear()
+        with pytest.raises(HNRequiredError):
+            refuse()
+        # P * P and P^2 * P: the chain stops at P^n, n = 3, not at P^12 or P^13
+        assert steps == [3, 6]
+    # both criteria are still computed and cross-checked on a refusal
+    monkeypatch.setattr(hesnil.nilpotency, "trace_powers", lambda q: [Poly.zero(q.arity)] * 3)
+    with pytest.raises(CriterionMismatchError):
+        invert_closed(p, 12)
 
 
 def test_heat_residual_vanishes_for_hn():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hesnil import GaussianRational, Poly, exp_truncated, format_poly, gr, parse
-from hesnil.poly import _poly_dot
+from hesnil import partial
+from hesnil.poly import _Packed, _poly_dot
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -260,3 +261,61 @@ def test_evaluate_is_ring_morphism():
     point = [gr(2, 1), gr("1/2")]
     assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
     assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+
+
+PACKED_CASES = {
+    "over 7, 11 and 13": (3, "(1/7 + 2/11*i)*z1^3*z3 + 3/13*z3^2 - 5/11*i*z1*z2 + 4/7"),
+    "zero": (3, "0"),
+    "arity 1": (1, "1/7*z1^4 - 2/13*i*z1 + 3/11"),
+    "z2 absent": (3, "1/11*z1^2*z3 + z3^5 - 2/7*i*z1 + 1/13*z3"),
+}
+
+
+@pytest.mark.parametrize("name", list(PACKED_CASES))
+def test_packed_partial_and_truncate_match_the_poly_routes(name):
+    arity, text = PACKED_CASES[name]
+    p = parse(text, arity=arity)
+    # the tightest field width the degree allows, and a roomier one
+    for top in (max(p.degree(), 0), 2 * p.degree() + 9):
+        form = _Packed.of(p, top)
+        for i in range(arity):
+            d = form.partial(i)
+            assert len({k for k, _, _ in d.terms}) == len(d.terms)
+            assert all(r or im for _, r, im in d.terms)
+            assert d.poly() == partial(p, i)
+        for deg in range(-1, p.degree() + 2):
+            assert form.truncate(deg).poly() == p.truncate(deg)
+    if name == "z2 absent":
+        assert _Packed.of(p, p.degree()).partial(1).terms == []
+
+
+@given(poly_triples())
+@settings(max_examples=40)
+def test_sub_matches_adding_the_negation(triple):
+    a, b, _ = triple
+    assert a - b == a + (-b)
+    assert all(c for c in (a - b).terms.values())
+    assert (a - a).terms == {}
+    assert a - 3 == a + Poly.constant(a.arity, -3) and 3 - a == Poly.constant(a.arity, 3) + (-a)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        a - Poly.zero(a.arity + 1)
+
+
+def _exp_termwise(p, s, max_degree):
+    """sum s^k p^k / k! by one product, scale and sum per k, truncated at the end."""
+    s, total, pk = GaussianRational.coerce(s), Poly.one(p.arity), Poly.one(p.arity)
+    for k in range(1, max_degree + 1):
+        pk = pk * p
+        total = total + pk.scale(s ** k * Fraction(1, math.factorial(k)))
+    return total.truncate(max_degree)
+
+
+@pytest.mark.parametrize("s", [0, 1, gr(1, 1), gr(Fraction(-2, 7), Fraction(1, 11))])
+def test_exp_truncated_matches_the_termwise_series(s):
+    for text, arity in (("1/7*z1^2 - 3/11*i*z1*z2^2 + 1/13*z2^3", 2), ("z1^2", 1),
+                        ("2/7*z1*z2 + i*z2^2*z3 - 1/11*z3^4", 3), ("1/13*z1 - i*z1^3", 1)):
+        p = parse(text, arity=arity)
+        for max_degree in range(0, 8):
+            assert exp_truncated(p, s, max_degree) == _exp_termwise(p, s, max_degree)
+    # below the order only the constant 1 survives
+    assert exp_truncated(parse("z1^3 + z1*z2^2"), gr(1, 1), 2) == Poly.one(2)
