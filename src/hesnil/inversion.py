@@ -24,8 +24,8 @@ from typing import List, Optional, Tuple
 from .diffops import PolyVector, grad_pair, laplacian, laplacian_powers_table, partial
 from .gaussrat import GaussianRational, ScalarLike
 from .nilpotency import _hn_report, is_hn
-from .poly import Poly, _Packed, _poly_dot, exp_truncated
-from .tgraded import TGraded, _compose_polys, exp_tgraded
+from .poly import Poly, _Packed, _exp_packed, _poly_dot
+from .tgraded import TGraded, _compose_packed, _exp_slots, _slot, exp_tgraded
 
 
 class OrderViolationError(ValueError):
@@ -165,22 +165,26 @@ def invert_fixed_point(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Li
 
     Round r pins down the coefficient of t^r, so t_order rounds converge.
     Returns one PolyVector per t-power 0..t_order; slot 0 is the identity
-    and slot j equals grad Q_[j].
+    and slot j equals grad Q_[j].  G stays packed through every round.
     """
     _require_order2(p)
     if t_order < 1:
         raise ValueError("t_order must be at least 1")
+    if z_cap is not None and z_cap < 0:
+        raise ValueError(f"z-degree cap must be nonnegative, got {z_cap}")
     n = p.arity
     if n == 0:
         raise ValueError("need at least one variable")
-    coords = [Poly.variable(i, n) for i in range(n)]
-    base = [TGraded.from_poly(coords[i], t_order + 1, z_cap) for i in range(n)]
-    dp = [partial(p, i) for i in range(n)]
-    g = list(base)
+    # in every round, slot j of G has degree at most j (deg P - 2) + 1
+    top = max(t_order * (p.degree() - 2) + 1, 1)
+    one, source = _Packed.of(Poly.one(n), top), _Packed.of(p, p.degree())
+    dp = [source.partial(i) for i in range(n)]
+    base = [_Packed.of(Poly.variable(i, n), top).truncate(z_cap) for i in range(n)]
+    g = [[z] for z in base]
     for _ in range(t_order):
-        composed = _compose_polys(dp, g, [t_order] * n, z_cap)
-        g = [base[i] + composed[i].shift_t(1) for i in range(n)]
-    return [PolyVector([g[i].coeff(j) for i in range(n)]) for j in range(t_order + 1)]
+        comps = _compose_packed(dp, g, [t_order] * n, one)
+        g = [[base[i]] + [_slot(one, ps, cap=z_cap) for ps in comps[i]] for i in range(n)]
+    return [PolyVector([g[i][j].poly() for i in range(n)]) for j in range(t_order + 1)]
 
 
 def potential_from_gradient(vec: PolyVector) -> Poly:
@@ -214,13 +218,9 @@ def pair_from_fixed_point(p: Poly, t_order: int, z_cap: Optional[int] = None) ->
 # -- t-graded operator helpers -------------------------------------------------
 
 
-def tg_laplacian(a: TGraded) -> TGraded:
-    return a.map_coeffs(laplacian, z_drop=2)
-
-
-def tg_laplacian_iter(a: TGraded, k: int) -> TGraded:
+def tg_laplacian(a: TGraded, k: int = 1) -> TGraded:
     for _ in range(k):
-        a = tg_laplacian(a)
+        a = a.map_coeffs(laplacian, z_drop=2)
     return a
 
 
@@ -229,57 +229,53 @@ def tg_laplacian_iter(a: TGraded, k: int) -> TGraded:
 
 def deg_t(pair: DeformedPair) -> int:
     """Largest t-power with a nonzero slot, within the computed window."""
-    top = 0
-    for j in range(pair.t_order):
-        if not pair.q.coeffs[j].is_zero():
-            top = j
-    return top
+    return max((j for j, c in enumerate(pair.q.coeffs) if not c.is_zero()), default=0)
 
 
 def first_vanishing_index(pair: DeformedPair) -> Optional[int]:
     """Smallest m with Q_[m] = ... = Q_[t_order] = 0, None if Q_[t_order] != 0."""
-    idx = None
-    for m in range(pair.t_order, 0, -1):
-        if pair.q.coeff(m - 1).is_zero():
-            idx = m
-        else:
-            break
-    return idx
+    last = max((j + 1 for j, c in enumerate(pair.q.coeffs) if not c.is_zero()), default=0)
+    return last + 1 if last < pair.t_order else None
 
 
-def compose_check(
-    p: Poly,
-    pair: DeformedPair,
-    direction: str = "fg",
-    z_cap: Optional[int] = None,
-) -> List[TGraded]:
+def compose_check(p: Poly, pair: DeformedPair, direction: str = "fg",
+                  z_cap: Optional[int] = None) -> List[TGraded]:
     """Residual of the inversion property, one series per coordinate.
 
     direction "fg" checks F_t(G_t(z)) - z, "gf" checks G_t(F_t(z)) - z.
     Both vanish identically through t^t_order when the pair is correct.
+    Without z_cap, a pair capped at c is checked through z-degree
+    max(c - 1, 0): its grad Q is trusted one degree less than Q.
+
+    Each residual slot is one packed dot, reduced once.
     """
     if direction not in ("fg", "gf"):
         raise ValueError("direction must be 'fg' or 'gf'")
-    n = p.arity
-    m_top = pair.t_order + 1
-    coords = [Poly.variable(i, n) for i in range(n)]
-    dp = [partial(p, i) for i in range(n)]
-    dq = [[partial(pair.q.coeff(j), i) for i in range(n)] for j in range(pair.t_order)]
-    identity = [TGraded.from_poly(coords[i], m_top, z_cap) for i in range(n)]
+    n, t, q = p.arity, pair.t_order, pair.q
+    if z_cap is None and q.z_trunc is not None:
+        z_cap = max(q.z_trunc - 1, 0)
+    # bounds deg P, deg Q and every product below
+    top = max([p.degree(), 1] + [c.degree() for c in q.coeffs]) * max(p.degree() - 1, 1)
+    one, source = _Packed.of(Poly.one(n), top), _Packed.of(p, top)
+    forms = [_Packed.of(c, top) for c in q.coeffs]
+    minus_dp = [_slot(one, [(source.partial(i), one)], [-1]) for i in range(n)]
+    dq = [[f.partial(i) for f in forms] for i in range(n)]
+    z = [_Packed.of(Poly.variable(i, n), top).truncate(z_cap) for i in range(n)]
     if direction == "fg":
-        g_vec = [
-            TGraded(n, [coords[i]] + [dq[j][i] for j in range(pair.t_order)], m_top, z_cap)
-            for i in range(n)
-        ]
-        comps = _compose_polys(dp, g_vec, [pair.t_order] * n, z_cap)
-        return [g_vec[i] - comps[i].shift_t(1) - identity[i] for i in range(n)]
-    f_vec = [TGraded(n, [coords[i], -dp[i]], m_top, z_cap) for i in range(n)]
-    # every dq[j][i] composed at once, on one set of powers of F
-    ts = range(pair.t_order)
-    comps = _compose_polys([dq[j][i] for i in range(n) for j in ts], f_vec,
-                           [m_top - (j + 1) for _ in range(n) for j in ts], z_cap)
-    return [sum((comps[i * len(ts) + j].shift_t(j + 1) for j in ts), f_vec[i]) - identity[i]
-            for i in range(n)]
+        # slot s >= 1 of F(G) - z: G_s + ((-grad P)(G))_{s-1}
+        vals = [[z[i]] + [d.truncate(z_cap) for d in dq[i]] for i in range(n)]
+        comps = _compose_packed(minus_dp, vals, [t] * n, one)
+    else:
+        # slot s >= 1 of G(F) - z: F_s + sum_{j<s} ((grad Q_[j+1])(F))_{s-1-j}
+        vals = [[z[i], minus_dp[i].truncate(z_cap)] for i in range(n)]
+        parts = _compose_packed([d for row in dq for d in row], vals,
+                                [t - j for _ in range(n) for j in range(t)], one)
+        comps = [[sum((parts[i * t + j][r - j] for j in range(r + 1)), []) for r in range(t)]
+                 for i in range(n)]
+    # slot 0 is z - z in both directions: G_0 = F_0 = z by construction
+    return [TGraded(n, [Poly.zero(n)] + [
+        _slot(one, [(v, one) for v in vals[i][s:s + 1]] + ps, cap=z_cap).poly()
+        for s, ps in enumerate(comps[i], 1)], t + 1, z_cap) for i in range(n)]
 
 
 def burgers_residual(pair: DeformedPair, form: str = "gradient") -> TGraded:
@@ -288,27 +284,30 @@ def burgers_residual(pair: DeformedPair, form: str = "gradient") -> TGraded:
     form "gradient":  dQ/dt - (1/2) <grad Q, grad Q>   (every P)
     form "laplacian": dQ/dt - (1/4) Delta(Q^2)         (HN P)
     """
-    q = pair.q
-    if form == "laplacian":
-        return q.dt() - tg_laplacian(q * q).scale(Fraction(1, 4))
-    if form != "gradient":
+    if form not in ("gradient", "laplacian"):
         raise ValueError("form must be 'gradient' or 'laplacian'")
+    q = pair.q
     if q.t_order == 0:
         raise ValueError("cannot differentiate an empty window")
-    n, cap = q.arity, None if q.z_trunc is None else max(q.z_trunc - 1, 0)
+    n, gradient = q.arity, form == "gradient"
+    cap = None if q.z_trunc is None else max(q.z_trunc - 2 + gradient, 0)
     top = 2 * max(c.degree() for c in q.coeffs)
     forms, one = [_Packed.of(c, top) for c in q.coeffs], _Packed.of(Poly.one(n), top)
-    grads = [[f.partial(i) for i in range(n)] for f in forms]
+    grads = [[f.partial(i) for i in range(n)] for f in forms] if gradient else []
     slots = []
     for j in range(q.t_order - 1):
-        # 2 * slot j = 2(j+1) Q_[j+2] - sum_{k+l=j} <grad Q_[k+1], grad Q_[l+1]>, k < l twice
-        pairs, weights = [(forms[j + 1], one)], [2 * (j + 1)]
-        for k in range(j // 2 + 1):
-            pairs += zip(grads[k], grads[j - k])
-            weights += [-1 if 2 * k == j else -2] * n
-        acc = _Packed.dot(pairs, weights)
-        acc.den *= 2
-        slots.append((acc if cap is None else acc.truncate(cap)).poly())
+        ks = range(j // 2 + 1)
+        ws = [1 + (2 * k < j) for k in ks]  # the k = l pair once, the k < l pairs twice
+        if gradient:
+            # 2 * slot j = 2(j+1) Q_[j+2] - sum_{k+l=j} <grad Q_[k+1], grad Q_[l+1]>
+            pairs = [(forms[j + 1], one)] + [ab for k in ks for ab in zip(grads[k], grads[j - k])]
+            weights = [2 * (j + 1)] + [-w for w in ws for _ in range(n)]
+        else:
+            # 4 * slot j = 4(j+1) Q_[j+2] - Delta sum_{k+l=j} Q_[k+1] Q_[l+1]
+            square = _Packed.dot([(forms[k], forms[j - k]) for k in ks], ws)
+            pairs = [(forms[j + 1], one), (square.truncate(q.z_trunc).laplacian(), one)]
+            weights = [4 * (j + 1), -1]
+        slots.append(_slot(one, pairs, weights, 4 - 2 * gradient, cap).poly())
     return TGraded(n, slots, q.t_order - 1, cap)
 
 
@@ -316,50 +315,49 @@ def heat_residual(p: Poly, pair: DeformedPair, s: ScalarLike, z_cap: int) -> TGr
     """Residual of dU/dt = (1/(2s)) Delta U for U = exp(s Q_t).
 
     U is an honest z-truncated series, so the residual is trusted through
-    z-degree z_cap - 2 and t-power t_order - 2.
+    z-degree z_cap - 2 and t-power t_order - 2.  U stays packed up to the
+    one reduction per residual slot.
     """
     s = GaussianRational.coerce(s)
     if not s:
         raise ValueError("s must be nonzero")
     if z_cap is None:
         raise ValueError("a z-degree cap is required (exp is an infinite z-series)")
-    u = exp_tgraded(pair.q.scale(s), z_cap)
-    return u.dt() - tg_laplacian(u).scale(GaussianRational(1) / (2 * s))
+    if pair.t_order == 0:
+        raise ValueError("cannot differentiate an empty window")
+    cap, u = _exp_slots(pair.q, s, z_cap)
+    one, half, cap = u[0].constant(1), u[0].constant(1 / (2 * s)), max(cap - 2, 0)
+    slots = [_slot(one, [(u[j + 1], one), (u[j].laplacian(), half)], [j + 1, -1], cap=cap).poly()
+             for j in range(pair.t_order - 1)]
+    return TGraded(p.arity, slots, pair.t_order - 1, cap)
 
 
-def exp_formula_check(
-    p: Poly,
-    pair: DeformedPair,
-    s: ScalarLike,
-    z_cap: int,
-) -> Tuple[TGraded, TGraded]:
+def exp_formula_check(p: Poly, pair: DeformedPair, s: ScalarLike,
+                      z_cap: int) -> Tuple[TGraded, TGraded]:
     """Both sides of exp(s Q_t) = sum_k t^k Delta^k exp(s P) / ((2s)^k k!).
 
-    Valid for Hessian-nilpotent P.  exp(s P) is computed with 2(t_order-1)
-    degrees of padding so that every iterated Laplacian on the right is
-    exact through z_cap.
+    Valid for Hessian-nilpotent P.  Both sides are truncated at the tighter
+    of z_cap and the pair's own cap.  exp(s P) is computed, packed, with
+    2(t_order-1) degrees of padding so that every iterated Laplacian on the
+    right is exact through that cap.
     """
     s = GaussianRational.coerce(s)
     if not s:
         raise ValueError("s must be nonzero")
-    lhs = exp_tgraded(pair.q.scale(s), z_cap)
-    m_top = pair.t_order
-    padded = exp_truncated(p, s, z_cap + 2 * (m_top - 1))
+    cap, u = _exp_slots(pair.q, s, z_cap)
+    m_top, n = pair.t_order, p.arity
+    lhs = TGraded(n, [x.poly() for x in u], m_top, cap)
+    term = _exp_packed(p, s, cap + 2 * (m_top - 1), cap + 2 * (m_top - 1) + p.degree())
     slots = []
-    term = padded
     for k in range(m_top):
-        if k:
-            term = laplacian(term)
-        c = (GaussianRational(1) / ((2 * s) ** k)) * Fraction(1, math.factorial(k))
-        slots.append(term.truncate(z_cap).scale(c))
-    return lhs, TGraded(p.arity, slots, m_top, z_cap)
+        term = term.laplacian() if k else term
+        c = 1 / ((2 * s) ** k * math.factorial(k))
+        slots.append(_Packed.dot([(term.truncate(cap), term.constant(c))]).poly())
+    return lhs, TGraded(n, slots, m_top, cap)
 
 
-def exp_tilde_check(
-    p: Poly,
-    pair: DeformedPair,
-    z_cap: Optional[int] = None,
-) -> Tuple[TGraded, TGraded]:
+def exp_tilde_check(p: Poly, pair: DeformedPair,
+                    z_cap: Optional[int] = None) -> Tuple[TGraded, TGraded]:
     """Both sides of exp(Q_t - P) = exp(t ((1/2) Delta + Lambda_P + (1/4) Delta P^2)) 1.
 
     Valid for Hessian-nilpotent P.  Both sides are polynomial slot by
@@ -406,9 +404,9 @@ def power_flow_check(pair: DeformedPair, k: int, m: int) -> Tuple[TGraded, TGrad
         raise ValueError("need k >= 0 and m >= 1")
     q = pair.q
     qm = q ** m
-    lhs = tg_laplacian_iter(qm, k).dt()
-    rhs = tg_laplacian_iter(qm * q, k + 1).scale(Fraction(1, 2 * (m + 1))) \
-        - tg_laplacian_iter(qm * tg_laplacian(q), k).scale(Fraction(1, 2))
+    lhs = tg_laplacian(qm, k).dt()
+    rhs = tg_laplacian(qm * q, k + 1).scale(Fraction(1, 2 * (m + 1))) \
+        - tg_laplacian(qm * tg_laplacian(q), k).scale(Fraction(1, 2))
     return lhs, rhs.truncate_t(lhs.t_order)
 
 
@@ -423,7 +421,7 @@ def higher_dt_power_check(pair: DeformedPair, k: int, l: int) -> Tuple[TGraded, 
     lhs = q ** k
     for _ in range(l):
         lhs = lhs.dt()
-    rhs = tg_laplacian_iter(q ** (k + l), l).scale(Fraction(1, (2 ** l) * math.perm(k + l, l)))
+    rhs = tg_laplacian(q ** (k + l), l).scale(Fraction(1, (2 ** l) * math.perm(k + l, l)))
     return lhs, rhs.truncate_t(lhs.t_order)
 
 

@@ -8,8 +8,9 @@ Display order is graded lexicographic, highest total degree first.
 Products, Laplacians and derivatives run on plain ints: each operand's
 coefficients become Gaussian-integer pairs over one common denominator, the
 lcm of its own, and each output coefficient is reduced once at the end.  The
-private _Packed form keeps a whole chain (matrix powers, Laplacians, the gradient
-recurrence, a truncated exp series) on ints and reduces only what it returns.
+private _Packed form keeps a whole chain on ints (matrix powers, Laplacians, the
+gradient recurrence, truncated exp series, series compositions and exponentials,
+the inversion checks' residuals) and reduces only what it returns.
 
 Two variable naming styles are understood by the text grammar:
 
@@ -336,14 +337,21 @@ class _Packed:
         return _Packed(pairs[0][0].arity, pairs[0][0].width, den,
                        [(k, r, i) for k, (r, i) in acc.items() if r or i])
 
+    def constant(self, value: ScalarLike) -> "_Packed":
+        """value as a constant of this form's arity and width."""
+        den, terms = _numerators([(0, GaussianRational.coerce(value))])
+        return _Packed(self.arity, self.width, den, [t for t in terms if t[1] or t[2]])
+
     def partial(self, index: int) -> "_Packed":
         """d/dz_index: key - (1 << shift) times the exponent e > 0; keys stay distinct."""
         s, mask = self.shifts[index], (1 << self.width) - 1
         return _Packed(self.arity, self.width, self.den, [
             (k - (1 << s), r * e, i * e) for k, r, i in self.terms if (e := k >> s & mask)])
 
-    def truncate(self, max_degree: int) -> "_Packed":
-        """The terms of total degree <= max_degree: key * ones sums all fields into the top one."""
+    def truncate(self, max_degree: Optional[int]) -> "_Packed":
+        """Terms of degree <= max_degree (None: all): key * ones sums the fields in the top one."""
+        if max_degree is None:
+            return self
         ones, mask = sum(1 << s for s in self.shifts), (1 << self.width) - 1
         head = max(self.shifts, default=0)
         return _Packed(self.arity, self.width, self.den, [
@@ -409,21 +417,25 @@ def exp_truncated(p: Poly, s: ScalarLike, max_degree: int) -> Poly:
     Requires order(p) >= 1 so the sum is finite per degree; a nonzero
     constant term is rejected.  exp of the zero polynomial is 1.
     """
+    return _exp_packed(p, s, max_degree, max_degree + p.degree()).poly()
+
+
+def _exp_packed(p: Poly, s: ScalarLike, max_degree: int, top: int) -> _Packed:
+    """exp_truncated's series, unreduced, at the width of top >= max_degree + deg p."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    one = _Packed.of(Poly.one(p.arity), top)
     if p.is_zero():
-        return Poly.one(p.arity)
+        return one
     ord_p = p.order()
     if ord_p < 1:
         raise ValueError("exp_truncated needs order >= 1 (no constant term)")
-    s, top = GaussianRational.coerce(s), max_degree + p.degree()
-    x, pk = _Packed.of(p, top), _Packed.of(Poly.one(p.arity), top)
     # the truncated chain p^k meets its scalars s^k / k!, packed constants, in one dot
-    pairs = [(pk, pk)]
+    s, x, pk, pairs = GaussianRational.coerce(s), _Packed.of(p, top), one, [(one, one)]
     for k in range(1, max_degree // ord_p + 1):
         pk = _Packed.dot([(pk, x)]).truncate(max_degree)
-        pairs.append((pk, _Packed.of(Poly.constant(p.arity, s ** k / math.factorial(k)), top)))
-    return _Packed.dot(pairs).poly()
+        pairs.append((pk, one.constant(s ** k / math.factorial(k))))
+    return _Packed.dot(pairs)
 
 
 # -- text grammar ------------------------------------------------------------

@@ -13,20 +13,27 @@ Operations propagate the tighter of the two caps.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, List, Optional, Sequence, Union
 
-from .gaussrat import GaussianRational, ScalarLike
-from .poly import Poly, _Packed, exp_truncated
+from .gaussrat import ScalarLike
+from .poly import Poly, _Packed, _exp_packed
 
 
-def _min_cap(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _min_cap(*caps: Optional[int]) -> Optional[int]:
+    """The tightest of the z caps, None when no cap is set."""
+    return min((c for c in caps if c is not None), default=None)
+
+
+def _slot(like: _Packed, pairs: list, weights: Optional[list] = None, den: int = 1,
+          cap: Optional[int] = None) -> _Packed:
+    """One slot: the dot of its pairs over den times their denominator, truncated at cap;
+    without pairs, zero at the arity and width of like."""
+    if not pairs:
+        return _Packed(like.arity, like.width, 1, [])
+    acc = _Packed.dot(pairs, weights)
+    acc.den *= den
+    return acc.truncate(cap)
 
 
 def _slot_pairs(a: Sequence[_Packed], b: Sequence[_Packed], t: int) -> list:
@@ -39,33 +46,20 @@ def _slot_pairs(a: Sequence[_Packed], b: Sequence[_Packed], t: int) -> list:
 class TGraded:
     __slots__ = ("arity", "t_order", "coeffs", "z_trunc")
 
-    def __init__(
-        self,
-        arity: int,
-        coeffs: Sequence[Poly],
-        t_order: Optional[int] = None,
-        z_trunc: Optional[int] = None,
-    ):
-        if t_order is None:
-            t_order = len(coeffs)
+    def __init__(self, arity: int, coeffs: Sequence[Poly], t_order: Optional[int] = None,
+                 z_trunc: Optional[int] = None):
+        t_order = len(coeffs) if t_order is None else t_order
         if t_order < 0:
             raise ValueError("t_order must be nonnegative")
         if z_trunc is not None and z_trunc < 0:
             raise ValueError(f"z-degree cap must be nonnegative, got {z_trunc}")
         if len(coeffs) > t_order:
             raise ValueError(f"{len(coeffs)} coefficients exceed t_order {t_order}")
-        slots = list(coeffs)
-        for p in slots:
-            if not isinstance(p, Poly) or p.arity != arity:
-                raise ValueError("every coefficient must be a Poly of the stated arity")
-        while len(slots) < t_order:
-            slots.append(Poly.zero(arity))
-        if z_trunc is not None:
-            slots = [p.truncate(z_trunc) for p in slots]
-        self.arity = arity
-        self.t_order = t_order
-        self.coeffs = slots
-        self.z_trunc = z_trunc
+        if any(not isinstance(p, Poly) or p.arity != arity for p in coeffs):
+            raise ValueError("every coefficient must be a Poly of the stated arity")
+        slots = list(coeffs) + [Poly.zero(arity)] * (t_order - len(coeffs))
+        self.arity, self.t_order, self.z_trunc = arity, t_order, z_trunc
+        self.coeffs = slots if z_trunc is None else [p.truncate(z_trunc) for p in slots]
 
     @classmethod
     def zero(cls, arity: int, t_order: int, z_trunc: Optional[int] = None) -> "TGraded":
@@ -96,24 +90,15 @@ class TGraded:
 
     def __add__(self, other: "TGraded") -> "TGraded":
         t, z = self._join(other)
-        slots = [self.coeffs[j] + other.coeffs[j] for j in range(t)]
-        return TGraded(self.arity, slots, t, z)
+        return TGraded(self.arity, [a + b for a, b in zip(self.coeffs[:t], other.coeffs)], t, z)
 
     def __sub__(self, other: "TGraded") -> "TGraded":
         t, z = self._join(other)
-        slots = [self.coeffs[j] - other.coeffs[j] for j in range(t)]
-        return TGraded(self.arity, slots, t, z)
-
-    def __neg__(self) -> "TGraded":
-        return TGraded(self.arity, [-p for p in self.coeffs], self.t_order, self.z_trunc)
+        return TGraded(self.arity, [a - b for a, b in zip(self.coeffs[:t], other.coeffs)], t, z)
 
     def scale(self, value: ScalarLike) -> "TGraded":
-        c = GaussianRational.coerce(value)
-        return TGraded(self.arity, [p.scale(c) for p in self.coeffs], self.t_order, self.z_trunc)
-
-    def scale_poly(self, p: Poly) -> "TGraded":
-        slots = [c * p for c in self.coeffs]
-        return TGraded(self.arity, slots, self.t_order, self.z_trunc)
+        return TGraded(self.arity, [p.scale(value) for p in self.coeffs], self.t_order,
+                       self.z_trunc)
 
     def __mul__(self, other: "TGraded") -> "TGraded":
         t, z = self._join(other)
@@ -121,9 +106,8 @@ class TGraded:
             (p.degree() for p in other.coeffs), default=0)
         a = [_Packed.of(p, top) for p in self.coeffs[:t]]
         b = [_Packed.of(p, top) for p in other.coeffs[:t]]
-        slots = [_Packed.dot(ps).poly() if ps else Poly.zero(self.arity)
-                 for ps in _slot_pairs(a, b, t)]
-        return TGraded(self.arity, slots, t, z)
+        return TGraded(self.arity, [_slot(a[0], ps, cap=z).poly() for ps in _slot_pairs(a, b, t)],
+                       t, z)
 
     def __pow__(self, exponent: int) -> "TGraded":
         if not isinstance(exponent, int) or exponent < 0:
@@ -141,13 +125,6 @@ class TGraded:
             raise ValueError("cannot differentiate an empty window")
         slots = [self.coeffs[j + 1].scale(j + 1) for j in range(self.t_order - 1)]
         return TGraded(self.arity, slots, self.t_order - 1, self.z_trunc)
-
-    def shift_t(self, k: int = 1) -> "TGraded":
-        """Multiply by t^k; the window widens by k."""
-        if k < 0:
-            raise ValueError("shift power must be nonnegative")
-        slots = [Poly.zero(self.arity)] * k + self.coeffs
-        return TGraded(self.arity, slots, self.t_order + k, self.z_trunc)
 
     # -- window management ----------------------------------------------------
 
@@ -174,16 +151,8 @@ class TGraded:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TGraded):
             return NotImplemented
-        if self.arity != other.arity:
-            return False
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = Poly.zero(self.arity)
-        for j in range(n):
-            a = self.coeffs[j] if j < len(self.coeffs) else zero
-            b = other.coeffs[j] if j < len(other.coeffs) else zero
-            if a != b:
-                return False
-        return True
+        return self.arity == other.arity and all(a == b for a, b in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=Poly.zero(self.arity)))
 
     __hash__ = None
 
@@ -208,50 +177,61 @@ def compose_poly(p: Poly, values: Sequence[TGraded], t_order: int,
 
 def _compose_polys(polys: Sequence[Poly], values: Sequence[TGraded], t_orders: Sequence[int],
                    z_trunc: Optional[int] = None) -> List[TGraded]:
-    """compose_poly of each polynomial at its own t_order, on one set of packed powers per
-    series: each power is formed once from the next lower one, through the widest window a
-    polynomial using it reads; each term's product stays packed with its coefficient folded
-    in, each output slot is one dot over all terms."""
-    arity = values[0].arity if values else 0
-    plans, reach = [], {}  # reach[j]: (widest window, highest power) read of series j
+    """compose_poly of each polynomial at its own t_order, in one _compose_packed."""
+    arity, plans = values[0].arity if values else 0, []
     for p, t in zip(polys, t_orders):
         if len(values) != p.arity:
             raise ValueError(f"need {p.arity} series, got {len(values)}")
-        top_exp = [max(col) for col in zip(*p.terms)]
-        used = [j for j, e in enumerate(top_exp) if e]
-        if any(values[j].arity != arity for j in used):
+        used = [values[j] for j, e in enumerate(map(max, zip(*p.terms))) if e]
+        if any(v.arity != arity for v in used):
             raise ValueError("every series must share one arity")
-        t, z = min([t] + [values[j].t_order for j in used]), z_trunc
-        for j in used:
-            z = _min_cap(z, values[j].z_trunc)
-            w, e = reach.get(j, (0, 0))
-            reach[j] = (max(w, t), max(e, top_exp[j]))
-        plans.append((p, t, z))
-    degs = {j: max([q.degree() for q in values[j].coeffs[:w]] + [0]) for j, (w, _) in reach.items()}
-    top = max((sum(e * degs[j] for j, e in enumerate(m) if e) for p in polys for m in p.terms),
-              default=0)
-    one, zero = (_Packed.of(Poly.constant(arity, c), top) for c in (1, 0))
+        plans.append((min([t] + [v.t_order for v in used]),
+                      _min_cap(z_trunc, *(v.z_trunc for v in used))))
+    top = max([p.degree() for p in polys] + [1]) * max(
+        [q.degree() for v in values for q in v.coeffs] + [0])
+    one = _Packed.of(Poly.one(arity), top)
+    outs = _compose_packed([_Packed.of(p, p.degree()) for p in polys],
+                           [[_Packed.of(q, top) for q in v.coeffs] for v in values],
+                           [t for t, _ in plans], one)
+    return [TGraded(arity, [_slot(one, ps, cap=z).poly() for ps in out], t, z)
+            for (t, z), out in zip(plans, outs)]
+
+
+def _compose_packed(polys: Sequence[_Packed], values: Sequence[Sequence[_Packed]],
+                    windows: Sequence[int], one: _Packed) -> List[List[list]]:
+    """Each packed polynomial (any width) composed, at its window, with the packed series
+    (slot lists at the width of one, zero past their ends): per slot the pairs of one dot.
+    Each power of a series is formed once from the next lower one, through the widest
+    window that reads it; each term's coefficient is folded into its first factor."""
+    plans, reach = [], {}  # reach[j]: (widest window, highest power) read of series j
+    for p, t in zip(polys, windows):
+        mask = (1 << p.width) - 1
+        terms = [([k >> s & mask for s in p.shifts], r, i) for k, r, i in p.terms]
+        for j, e in enumerate(map(max, zip(*(m for m, _, _ in terms)))):
+            if e:
+                w, high = reach.get(j, (0, 0))
+                reach[j] = (max(w, t), max(high, e))
+        plans.append((p.den, terms, t))
 
     def mul(a: list, b: list, t: int) -> list:
-        return [_Packed.dot(ps) if ps else zero for ps in _slot_pairs(a, b, t)]
+        return [_slot(one, ps) for ps in _slot_pairs(a, b, t)]
 
     powers = {}
     for j, (w, e) in reach.items():
-        powers[j] = [[_Packed.of(q, top) for q in values[j].coeffs[:w]]]
+        powers[j] = [values[j][:w]]
         while len(powers[j]) < e:
             powers[j].append(mul(powers[j][-1], powers[j][0], w))
     results = []
-    for p, t, z in plans:
+    for den, terms, t in plans:
         out: list = [[] for _ in range(t)]
-        for m, c in p.terms.items():
+        for m, r, i in terms:
             factors = [powers[j][e - 1] for j, e in enumerate(m) if e] or [[one]]
-            x = [_Packed.of(Poly.constant(arity, c), top)]
+            x = [_Packed(one.arity, one.width, den, [(0, r, i)])]
             for f in factors[:-1]:
                 x = mul(x, f, t)
             for acc, ps in zip(out, _slot_pairs(x, factors[-1], t)):
                 acc += ps
-        slots = [_Packed.dot(ps).poly() if ps else Poly.zero(arity) for ps in out]
-        results.append(TGraded(arity, slots, t, z))
+        results.append(out)
     return results
 
 
@@ -262,18 +242,25 @@ def exp_tgraded(a: TGraded, z_trunc: Optional[int] = None) -> TGraded:
     z-degree cap is required whenever A_0 is nonzero.  The remainder has
     positive t-valuation and exponentiates exactly within the window.
     """
-    cap = _min_cap(a.z_trunc, z_trunc)
-    head = a.coeffs[0] if a.coeffs else Poly.zero(a.arity)
-    if not head.is_zero():
-        if cap is None:
-            raise ValueError("exp of a series with nonzero t-constant slot needs a z-degree cap")
-        e0 = exp_truncated(head, 1, cap)
-    else:
-        e0 = Poly.one(a.arity)
-    tail = TGraded(a.arity, [Poly.zero(a.arity)][:a.t_order] + a.coeffs[1:], a.t_order, cap)
-    term = TGraded.from_poly(Poly.one(a.arity), a.t_order, cap)
-    total = term
-    for k in range(1, a.t_order):
-        term = term * tail
-        total = total + term.scale(Fraction(1, math.factorial(k)))
-    return total.scale_poly(e0)
+    cap, slots = _exp_slots(a, 1, z_trunc)
+    return TGraded(a.arity, [u.poly() for u in slots], a.t_order, cap)
+
+
+def _exp_slots(a: TGraded, s: ScalarLike, z_trunc: Optional[int]) -> tuple:
+    """(cap, unreduced slots of exp(s a) through cap), cap joining a's and z_trunc: one
+    packed chain of tail^k / k!, tail = s(a - a_0), truncated at each step; slot j is one
+    dot of the chain's slot j with exp(s a_0)."""
+    t, cap = a.t_order, _min_cap(a.z_trunc, z_trunc)
+    head = a.coeffs[0] if t else Poly.zero(a.arity)
+    if head.terms and cap is None:
+        raise ValueError("exp of a series with nonzero t-constant slot needs a z-degree cap")
+    d = max([q.degree() for q in a.coeffs] + [0])
+    top = max(t - 1, 1) * d if cap is None else cap + max(cap, d)
+    one = _Packed.of(Poly.one(a.arity), top)
+    e0, scale = _exp_packed(head, s, cap, top) if head.terms else one, one.constant(s)
+    tail = [_slot(one, [])] + [_slot(one, [(_Packed.of(q, top), scale)], cap=cap)
+                               for q in a.coeffs[1:]]
+    chain = [[one] + tail[:1] * (t - 1)]
+    for k in range(1, t):
+        chain.append([_slot(one, ps, den=k, cap=cap) for ps in _slot_pairs(chain[-1], tail, t)])
+    return cap, [_slot(one, [(c[j], e0) for c in chain[:j + 1]], cap=cap) for j in range(t)]

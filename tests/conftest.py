@@ -169,3 +169,26 @@ def count_squares(monkeypatch, p):
 
     monkeypatch.setattr(Poly, "__mul__", watched_mul)
     return squares
+
+
+def reference_exp(a, z_trunc=None):
+    """exp of a series by series products: exp(A_0), a truncated Poly exp, times
+    sum_k (A - A_0)^k / k!, each power one TGraded product, each slot one Poly product."""
+    from fractions import Fraction
+    from math import factorial
+
+    from hesnil import TGraded, exp_truncated
+
+    caps = [c for c in (a.z_trunc, z_trunc) if c is not None]
+    cap = min(caps) if caps else None
+    zero, one = Poly.zero(a.arity), Poly.one(a.arity)
+    head = a.coeffs[0] if a.coeffs else zero
+    if not head.is_zero() and cap is None:
+        raise ValueError("a nonzero t-constant slot needs a cap")
+    e0 = exp_truncated(head, 1, cap) if not head.is_zero() else one
+    tail = TGraded(a.arity, [zero][:a.t_order] + a.coeffs[1:], a.t_order, cap)
+    term = total = TGraded.from_poly(one, a.t_order, cap)
+    for k in range(1, a.t_order):
+        term = term * tail
+        total = total + term.scale(Fraction(1, factorial(k)))
+    return TGraded(a.arity, [c * e0 for c in total.coeffs], a.t_order, cap)

@@ -1,5 +1,6 @@
 """Deformed inversion pairs: the four routes, composition, and PDE identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hesnil import (
     compose_check,
     deg_t,
     exp_formula_check,
+    exp_truncated,
     exp_tilde_check,
     first_vanishing_index,
     gr,
@@ -25,14 +27,16 @@ from hesnil import (
     invert_fixed_point,
     invert_general,
     invert_hn,
+    is_hn,
     pair_from_fixed_point,
     parse,
     potential_from_gradient,
     power_flow_check,
     qt_power,
 )
-from hesnil import DeformedPair, PolyVector, TGraded, build_member, grad_pair, partial
-from conftest import build_hn_corpus, count_squares, random_order2_poly
+from hesnil import (
+    DeformedPair, PolyVector, TGraded, build_member, compose_poly, grad_pair, laplacian, partial)
+from conftest import build_hn_corpus, count_squares, random_order2_poly, reference_exp
 
 ALL_METHODS = (invert_general, invert_hn, invert_closed, pair_from_fixed_point)
 
@@ -169,7 +173,7 @@ def test_compose_check_both_directions():
 
 @pytest.mark.parametrize("kind", ["w", "wtilde", "ug", "pg", "ph"])
 def test_composition_routes_agree_with_general(kind):
-    # compose_check and the fixed-point iteration both run through compose_poly
+    # compose_check and the fixed-point iteration share the packed composition core
     p, _ = build_member(4, 3, kind, {}, 7)
     assert not p.is_zero()
     pair = invert_general(p, 4)
@@ -379,3 +383,151 @@ def test_z_cap_matches_truncated_exact():
     hn_capped = invert_hn(WORKED, 5, z_cap=4)
     for m in range(1, 6):
         assert hn_capped.q_slot(m) == hn_exact.q_slot(m).truncate(4)
+
+
+# -- packed routes against series routes kept here, off the solution ------------------
+
+
+def _shift(a: TGraded, k: int) -> TGraded:
+    """a times t^k: the window widens by k."""
+    return TGraded(a.arity, [Poly.zero(a.arity)] * k + a.coeffs, a.t_order + k, a.z_trunc)
+
+
+def _compose_check_reference(p, pair, direction, z_cap):
+    """F_t(G_t(z)) - z or G_t(F_t(z)) - z by compose_poly and series sums."""
+    n, m_top = p.arity, pair.t_order + 1
+    coords = [Poly.variable(i, n) for i in range(n)]
+    dp = [partial(p, i) for i in range(n)]
+    dq = [[partial(pair.q.coeff(j), i) for i in range(n)] for j in range(pair.t_order)]
+    identity = [TGraded.from_poly(coords[i], m_top, z_cap) for i in range(n)]
+    if direction == "fg":
+        g = [TGraded(n, [coords[i]] + [dq[j][i] for j in range(pair.t_order)], m_top, z_cap)
+             for i in range(n)]
+        return [g[i] - _shift(compose_poly(dp[i], g, pair.t_order, z_cap), 1) - identity[i]
+                for i in range(n)]
+    f = [TGraded(n, [coords[i], -dp[i]], m_top, z_cap) for i in range(n)]
+    return [sum((_shift(compose_poly(dq[j][i], f, m_top - j - 1, z_cap), j + 1)
+                 for j in range(pair.t_order)), f[i]) - identity[i] for i in range(n)]
+
+
+def _doubled_q2(pair: DeformedPair) -> DeformedPair:
+    """The pair with Q_[2] doubled: no longer a solution."""
+    slots = list(pair.q.coeffs)
+    if len(slots) > 1:
+        slots[1] = slots[1].scale(2)
+    q = TGraded(pair.q.arity, slots, pair.t_order, pair.q.z_trunc)
+    return DeformedPair(pair.source, q, pair.t_order, "perturbed")
+
+
+def _same(out: TGraded, ref: TGraded) -> None:
+    assert (out.t_order, out.z_trunc, out.coeffs) == (ref.t_order, ref.z_trunc, ref.coeffs)
+
+
+OFF_SOLUTION_SOURCES = [WORKED, parse("z1^2*z2 + 1/7*i*z2^3 - 2/11*z1*z2^2"),
+                        build_member(4, 3, "ph", {}, 7)[0]]
+
+
+def test_compose_check_matches_the_series_route_off_the_solution():
+    sources = OFF_SOLUTION_SOURCES + [random_order2_poly(random.Random(20), 3, 4)]
+    for p in sources:
+        for t_order, cap in ((1, None), (3, None), (4, None), (3, 4), (4, 2), (3, 0)):
+            pair = invert_general(p, t_order, z_cap=cap)
+            perturbed = _doubled_q2(pair)
+            for direction in ("fg", "gf"):
+                assert all(r.is_zero() for r in compose_check(p, pair, direction))
+                for z_cap in (None, 0, 1, 3, 6):
+                    if z_cap is None and cap is not None:
+                        continue  # the default cap, checked below
+                    outs = compose_check(p, perturbed, direction, z_cap)
+                    refs = _compose_check_reference(p, perturbed, direction, z_cap)
+                    for out, ref in zip(outs, refs):
+                        _same(out, ref)
+                    if t_order > 1 and z_cap is None:
+                        assert not all(r.is_zero() for r in outs)
+                if cap is not None:
+                    outs = compose_check(p, perturbed, direction)
+                    refs = _compose_check_reference(p, perturbed, direction, max(cap - 1, 0))
+                    for out, ref in zip(outs, refs):
+                        _same(out, ref)
+
+
+def test_compose_check_defaults_to_one_degree_below_the_pair_cap():
+    pair = invert_general(WORKED, 3, z_cap=2)
+    for direction in ("fg", "gf"):
+        # composing the truncated pair exactly leaves coordinates 2-4 nonzero
+        exact = _compose_check_reference(WORKED, pair, direction, None)
+        assert [r.is_zero() for r in exact] == [True, False, False, False]
+        for residual in compose_check(WORKED, pair, direction):
+            assert residual.is_zero() and residual.z_trunc == 1
+        assert all(r.z_trunc == 2 for r in compose_check(WORKED, pair, direction, z_cap=2))
+
+
+def _fixed_point_reference(p, t_order, z_cap):
+    """G <- z + t (grad P)(G) on series, one compose_poly per coordinate and round."""
+    n = p.arity
+    base = [TGraded.from_poly(Poly.variable(i, n), t_order + 1, z_cap) for i in range(n)]
+    g = list(base)
+    for _ in range(t_order):
+        g = [base[i] + _shift(compose_poly(partial(p, i), g, t_order, z_cap), 1)
+             for i in range(n)]
+    return [[g[i].coeff(j) for i in range(n)] for j in range(t_order + 1)]
+
+
+def test_fixed_point_layers_match_the_series_route_on_non_hn_input():
+    rng = random.Random(23)
+    sources = [random_order2_poly(rng, n, 4) for n in (2, 3, 3)] + [parse("z1^2*z2")]
+    for p in sources:
+        assert not is_hn(p).is_hn
+        for t_order in (1, 3, 4):
+            for cap in (None, 0, 2, 4):
+                layers = invert_fixed_point(p, t_order, cap)
+                assert [list(v) for v in layers] == _fixed_point_reference(p, t_order, cap)
+    with pytest.raises(ValueError, match="nonnegative"):
+        invert_fixed_point(WORKED, 2, -1)
+
+
+def test_heat_residual_matches_the_series_route_off_the_solution():
+    for p in (WORKED, build_member(4, 3, "ph", {}, 7)[0]):
+        for t_order, cap in ((1, None), (3, None), (4, None), (4, 5), (3, 1)):
+            perturbed = _doubled_q2(invert_hn(p, t_order, z_cap=cap))
+            for s in (gr(1), gr(1, 1), gr(Fraction(-2, 7))):
+                for z_cap in (0, 2, 6):
+                    out = heat_residual(p, perturbed, s, z_cap)
+                    u = reference_exp(perturbed.q.scale(s), z_cap)
+                    ref = u.dt() - u.map_coeffs(laplacian, z_drop=2).scale(1 / (2 * s))
+                    _same(out, ref)
+                    if t_order > 1 and cap is None and z_cap == 6:
+                        assert not out.is_zero()
+
+
+def test_laplacian_burgers_residual_matches_the_series_route_off_the_solution():
+    for p in OFF_SOLUTION_SOURCES:
+        for t_order, cap in ((1, None), (4, None), (4, 5), (5, 3), (3, 1), (3, 0)):
+            pair = invert_general(p, t_order, z_cap=cap)
+            # a linear term in Q_[1] makes Q_t^2 reach past the cap of the slots it squares
+            linear = TGraded(p.arity, [pair.q.coeffs[0] + Poly.variable(0, p.arity)]
+                             + pair.q.coeffs[1:], t_order, cap)
+            for q in (pair.q, _doubled_q2(pair).q, linear):
+                out = burgers_residual(DeformedPair(p, q, t_order, "perturbed"), "laplacian")
+                ref = q.dt() - (q * q).map_coeffs(laplacian, z_drop=2).scale(Fraction(1, 4))
+                _same(out, ref)
+
+
+def _exp_formula_rhs_reference(p, s, cap, t_order):
+    """sum_k t^k Delta^k exp(s P) / ((2s)^k k!) by Poly Laplacians and scalings."""
+    term, slots = exp_truncated(p, s, cap + 2 * (t_order - 1)), []
+    for k in range(t_order):
+        term = laplacian(term) if k else term
+        slots.append(term.truncate(cap).scale(1 / ((2 * s) ** k * math.factorial(k))))
+    return TGraded(p.arity, slots, t_order, cap)
+
+
+def test_exp_formula_sides_share_the_pair_cap():
+    pair = invert_hn(WORKED, 4, z_cap=3)
+    for s in (gr(1), gr(1, 1), gr(Fraction(-2, 7))):
+        lhs, rhs = exp_formula_check(WORKED, pair, s, 8)
+        assert lhs == rhs and lhs.z_trunc == rhs.z_trunc == 3
+        _same(lhs, reference_exp(pair.q.scale(s), 8))
+        _same(rhs, _exp_formula_rhs_reference(WORKED, s, 3, 4))
+        _, exact_rhs = exp_formula_check(WORKED, invert_hn(WORKED, 4), s, 8)
+        _same(exact_rhs, _exp_formula_rhs_reference(WORKED, s, 8, 4))

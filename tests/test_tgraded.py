@@ -7,6 +7,7 @@ import pytest
 from hesnil import Poly, TGraded, compose_poly, exp_tgraded, gr, parse
 from hesnil.poly import substitute
 from hesnil.tgraded import _compose_polys
+from conftest import reference_exp
 
 
 def tg(slot_texts, t_order=None, z_trunc=None, arity=None):
@@ -104,15 +105,6 @@ def test_dt_shifts_and_scales():
     assert da.coeff(1) == parse("2*z1^3")
     with pytest.raises(ValueError):
         tg(["z1"]).dt().dt()
-
-
-def test_shift_t_prepends_zero_slots():
-    a = tg(["z1"], t_order=1)
-    b = a.shift_t(2)
-    assert b.t_order == 3
-    assert b.coeff(0).is_zero()
-    assert b.coeff(1).is_zero()
-    assert b.coeff(2) == parse("z1")
 
 
 def test_truncations():
@@ -275,3 +267,28 @@ def test_composing_many_keeps_each_polynomial_its_own_window_and_cap():
             assert (out.t_order, out.z_trunc, out.coeffs) == (ref.t_order, ref.z_trunc, ref.coeffs)
     square = _compose_polys([cases[0][0], cases[2][0]], values, [5, 5])[0]
     assert square.t_order == 5 and not square.coeff(4).is_zero()
+
+
+EXP_HEADS = ["0", "z1^2 - 1/7*z2", "(2/3 + i)*z1*z2 - 1/11*i*z2^3", "1/5*z1 + z2^2",
+             "i*z1^3 + 3/13*z1*z2^2"]
+EXP_TAILS = [[], ["i*z2"], ["z1^2", "1/7*z1*z2 - i"], ["0", "1/11*z2^3", "(1 - i)*z1"],
+             ["2/13*i*z1^2*z2", "z2^2", "1/3", "z1*z2^2"]]
+
+
+@pytest.mark.parametrize("head", EXP_HEADS)
+def test_exp_tgraded_matches_the_series_route(head):
+    # 5 heads x 5 tails x t_order 0-4 x caps None, 0, 2, 4, 7: 625 cases
+    for tail in EXP_TAILS:
+        slots = [parse(text, arity=2) for text in [head] + tail]
+        for t_order in range(5):
+            a = TGraded(2, slots[:t_order], t_order)
+            for cap in (None, 0, 2, 4, 7):
+                if cap is None and t_order and head != "0":
+                    with pytest.raises(ValueError, match="needs a z-degree cap"):
+                        exp_tgraded(a, cap)
+                    continue
+                ref = reference_exp(a, cap)
+                # the cap given to exp_tgraded, or carried by the series itself
+                for out in (exp_tgraded(a, cap), exp_tgraded(TGraded(2, a.coeffs, t_order, cap))):
+                    assert (out.t_order, out.z_trunc, out.coeffs) == (
+                        ref.t_order, ref.z_trunc, ref.coeffs)
