@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from operator import sub
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Sequence, Tuple, Union
 
 from .gaussrat import GaussianRational, ScalarLike
 from .poly import Poly, _Packed, _from_numerators, _numerators, _poly_dot
@@ -63,14 +63,13 @@ def laplacian_iter(p: Poly, k: int) -> Poly:
     return p
 
 
-def laplacian_powers_table(p: Poly, top: Union[int, Sequence[int]], offsets: Sequence[int],
-                           row0_done: Optional[Callable] = None) -> List[List[Poly]]:
+def laplacian_powers_table(p: Poly, top: Union[int, Sequence[int]],
+                           offsets: Sequence[int]) -> List[List[Poly]]:
     """rows[j][m] = Delta^m P^{m + offsets[j]} for m = 0..top, or 0..top[j] per row.
 
     The powers of P are formed in turn, each once, and each is dropped as
     soon as every row that reads it has its entry.  Each power's Laplacians
     are iterated on integers; only the entries the rows read are reduced.
-    row0_done(rows[0]), if given, runs before any power past row 0's is formed.
     """
     spans = [(k, top if isinstance(top, int) else top[j]) for j, k in enumerate(offsets)]
     rows: List[List[Poly]] = [[] for _ in offsets]
@@ -87,8 +86,6 @@ def laplacian_powers_table(p: Poly, top: Union[int, Sequence[int]], offsets: Seq
         for row, (k, t) in zip(rows, spans):
             if 0 <= i - k <= t:
                 row.append(images[i - k])
-        if row0_done is not None and i == sum(spans[0]):
-            row0_done(rows[0])
     return rows
 
 

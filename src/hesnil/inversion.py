@@ -10,8 +10,9 @@ Three constructions are implemented: the gradient recurrence valid for
 every P, the Laplacian recurrence valid for Hessian-nilpotent P, and the
 closed form Q_[m] = Delta^{m-1} P^m / (2^{m-1} m! (m-1)!), also HN-only.
 A fixed-point iteration on G itself provides a fourth, derivative-free
-route.  The check functions return residuals or (lhs, rhs) pairs and
-never assert; callers decide what zero means for them.
+route.  The HN-only routes refuse non-HN input on the gradient recurrence's
+verdict, forming no power of P.  The check functions return residuals or
+(lhs, rhs) pairs and never assert; callers decide what zero means for them.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import List, Optional, Tuple
 
 from .diffops import PolyVector, grad_pair, laplacian, laplacian_powers_table, partial
 from .gaussrat import GaussianRational, ScalarLike
-from .nilpotency import _hn_report, is_hn
-from .poly import Poly, _Packed, _exp_packed, _poly_dot
+from .nilpotency import CriterionMismatchError, trace_powers
+from .poly import Poly, _Packed, _exp_packed, _poly_dot, format_poly
 from .tgraded import TGraded, _compose_packed, _exp_slots, _slot, exp_tgraded
 
 
@@ -97,6 +98,22 @@ def invert_general(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deform
     return _pair(p, slots, z_cap, "general")
 
 
+def _hn_verdict(p: Poly, pair: DeformedPair) -> bool:
+    """Whether p is HN, from invert_general's uncapped pair for p to t_order >= arity.
+
+    Delta Q_t = sum_k t^k Tr H^{k+1}(G_t) for H = Hes P, so while Delta Q_[j] = 0 for
+    j < m, Delta Q_[m] = Tr H^m: by Newton's identities P is HN iff Delta Q_[m] = 0 for
+    m <= n.  Raises unless both routes agree as polynomials up to the first nonzero m.
+    """
+    for m, trace in enumerate(trace_powers(p), 1):
+        if laplacian(pair.q_slot(m)) != trace:
+            raise CriterionMismatchError(
+                f"Delta Q_[{m}] differs from Tr Hes(P)^{m} on {format_poly(p)!r}")
+        if not trace.is_zero():
+            return False
+    return True
+
+
 def invert_hn(p: Poly, t_order: int, z_cap: Optional[int] = None) -> DeformedPair:
     """Laplacian recurrence, Hessian-nilpotent input only:
 
@@ -106,8 +123,8 @@ def invert_hn(p: Poly, t_order: int, z_cap: Optional[int] = None) -> DeformedPai
     Laplacian applied at each later step cannot eat into the trusted
     window; the returned slots are all exact through z_cap.
     """
-    _require_order2(p)
-    if not is_hn(p).is_hn:
+    # invert_general refuses order < 2 first
+    if not _hn_verdict(p, invert_general(p, max(p.arity, 1))):
         raise HNRequiredError("invert_hn needs Hessian-nilpotent input")
     if t_order < 1:
         raise ValueError("t_order must be at least 1")
@@ -141,23 +158,17 @@ def invert_closed(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deforme
 def _power_slots(p: Poly, k: int, t_order: int, who: str, error: Optional[str]) -> List[Poly]:
     """k! Delta^m P^{m+k} / (2^m m! (m+k)!) for m < t_order: the t^m slots of Q_t^k.
 
-    At k = 1 slot m is Q_[m+1], so invert_closed and qt_power share it.  The HN
-    verdict (both criteria, cross-checked) reads its Delta^m P^m off the same
-    chain of powers, as soon as P^n is formed.  Raises on order < 2, then on
-    non-HN input, then with the caller's parameter error if there is one.
+    At k = 1 slot m is Q_[m+1], so invert_closed and qt_power share it.  Raises
+    on order < 2, then on non-HN input (before any power of P is formed), then
+    with the caller's parameter error if there is one.
     """
-    _require_order2(p)
-
-    def refuse_non_hn(laplacians: List[Poly]) -> None:
-        if not _hn_report(p, laplacians[1:]).is_hn:
-            raise HNRequiredError(f"{who} needs Hessian-nilpotent input")
-
-    _, rows = laplacian_powers_table(p, (p.arity, t_order - 1), (0, k), refuse_non_hn)
+    if not _hn_verdict(p, invert_general(p, max(p.arity, 1))):
+        raise HNRequiredError(f"{who} needs Hessian-nilpotent input")
     if error is not None:
         raise ValueError(error)
     # k! / (m! (m+k)!) = 1 / (m! perm(m+k, m))
     return [row.scale(Fraction(1, 2 ** m * math.factorial(m) * math.perm(m + k, m)))
-            for m, row in enumerate(rows)]
+            for m, row in enumerate(laplacian_powers_table(p, t_order - 1, (k,))[0])]
 
 
 def invert_fixed_point(p: Poly, t_order: int, z_cap: Optional[int] = None) -> List[PolyVector]:

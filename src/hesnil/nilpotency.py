@@ -5,7 +5,8 @@ Over a field of characteristic zero an n x n matrix is nilpotent exactly
 when the traces of its first n powers vanish, which gives the matrix
 route.  The equivalent polynomial route checks Delta^m P^m = 0 for
 1 <= m <= n.  Both are computed; a disagreement cannot come from the
-mathematics, only from a bug, so it raises instead of returning.
+mathematics, only from a bug, so it raises instead of returning.  Other
+verdicts read the gradient recurrence instead (inversion._hn_verdict).
 """
 
 from __future__ import annotations
@@ -67,15 +68,11 @@ class HNReport:
 
 def is_hn(p: Poly) -> HNReport:
     """Full nilpotency report for p, both verdicts cross-checked."""
-    return _hn_report(p, laplacian_powers(p))
-
-
-def _hn_report(p: Poly, laplacians: List[Poly]) -> HNReport:
-    """is_hn's report, given the Laplacian route [Delta^m (p^m) for m = 1..arity]."""
     order = p.order()
     order_field = None if p.is_zero() else int(order)
     low_order = (not p.is_zero()) and order < 2
     traces = trace_powers(p)
+    laplacians = laplacian_powers(p)
     verdict_matrix = all(t.is_zero() for t in traces)
     verdict_laplacian = all(v.is_zero() for v in laplacians)
     if verdict_matrix != verdict_laplacian:

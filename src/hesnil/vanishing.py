@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .gaussrat import GaussianRational
 from .poly import Poly, format_poly
 from .diffops import PolyVector, apply_D, grad, laplacian_powers_table, sigma_squared
-from .nilpotency import TheoremCheckError, _hn_report, is_hn
-from .inversion import invert_general
+from .nilpotency import TheoremCheckError, is_hn
+from .inversion import _hn_verdict, invert_general
 from .generators import (
     IsotropicSet,
     IsotropyViolation,
@@ -331,7 +331,7 @@ def isotropy_check(p: Poly, d: int, m_max: int) -> Dict[Tuple[str, int], bool]:
         raise ValueError("P must be Hessian-nilpotent")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    return _annihilated(_ideal_ops(p), _vanishing_flags(p, m_max)[0])
+    return _annihilated(_ideal_ops(p), _vanishing_flags(p, m_max))
 
 
 def pd_qt_check(p: Poly, big_m: int) -> bool:
@@ -349,16 +349,13 @@ def pd_qt_check(p: Poly, big_m: int) -> bool:
     if not is_hn(p).is_hn:
         raise ValueError("P must be Hessian-nilpotent")
     top = big_m if d == 2 else max(big_m - 1, 2)
-    return _pd_pass(p, d, _vanishing_flags(p, top)[0], big_m)
+    return _pd_pass(p, d, _vanishing_flags(p, top), big_m)
 
 
-def _vanishing_flags(p: Poly, top: int, hn_top: int = 0) -> Tuple[List[Poly], List[Poly]]:
-    """The window W[m] = Delta^m P^{m+1}, m = 0..top, and Delta^m P^m, m = 1..hn_top,
-    from one chain of powers of P.  The vanishing flags up to top are the zero tests
-    of W[1..]; a trial reads them and is_hn's Laplacian route (hn_top = n) off this one pass.
-    """
-    laplacians, window = laplacian_powers_table(p, (hn_top, top), (0, 1))
-    return window, laplacians[1:]
+def _vanishing_flags(p: Poly, top: int) -> List[Poly]:
+    """The window W[m] = Delta^m P^{m+1}, m = 0..top, from one chain of powers of P;
+    the vanishing flags up to top are the zero tests of W[1..]."""
+    return laplacian_powers_table(p, top, (1,))[0]
 
 
 def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[str]]:
@@ -375,24 +372,22 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     big_m = cfg.t_order
     failures: List[str] = []
 
-    # the isotropy, P(D) and cross-check steps read the window up to this m; the
-    # HN verdict shares its powers of P
-    window, laplacians = _vanishing_flags(p, max(min(big_m, 4), 2), p.arity)
+    # the gradient recurrence does not assume HN: its slots give the verdict, and
+    # for HN P the flags past the window
+    pair = invert_general(p, max(big_m + 1, p.arity))
     try:
-        hn = _hn_report(p, laplacians).is_hn
+        hn = _hn_verdict(p, pair)
     except TheoremCheckError as exc:
         raise TheoremCheckError(f"{tag}, is_hn: {exc}") from exc
     if not hn:
         failures.append(f"{tag}, is_hn: generator produced a non-HN polynomial")
-        window = _vanishing_flags(p, big_m)[0]
-
+    # the isotropy, P(D) and cross-check steps read the window up to this m
+    window = _vanishing_flags(p, max(min(big_m, 4), 2) if hn else big_m)
     flags = [w.is_zero() for w in window[1:big_m + 1]]
 
     if hn:
         # for HN P, Q_[m+1] = Delta^m P^{m+1} / (2^m m! (m+1)!) (the closed form),
-        # so the gradient recurrence, which does not assume HN, gives the flags past
-        # the window and must agree with it on the window's values
-        pair = invert_general(p, big_m + 1)
+        # so the recurrence must agree with the window on its values
         flags += [pair.q_slot(m + 1).is_zero() for m in range(len(flags) + 1, big_m + 1)]
         off = [m for m in range(min(big_m, 4) + 1) if pair.q_slot(m + 1) != window[m].scale(
             Fraction(1, 2 ** m * factorial(m) * factorial(m + 1)))]

@@ -3,11 +3,11 @@
 import json
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
+import hesnil.inversion
 import hesnil.nilpotency
 import hesnil.vanishing
 from hesnil import (
@@ -168,8 +168,7 @@ def test_failure_tag_rebuilds_the_member(monkeypatch, kind, n, d, params):
 
     # a planted non-HN verdict makes the trial report a failure, with its tag
     monkeypatch.setattr(hesnil.vanishing, "build_member", recording)
-    monkeypatch.setattr(hesnil.vanishing, "_hn_report",
-                        lambda p, laplacians: SimpleNamespace(is_hn=False))
+    monkeypatch.setattr(hesnil.vanishing, "_hn_verdict", lambda p, pair: False)
     _, failures = hesnil.vanishing.run_trial(cfg, 1)
     assert len(failures) == 1
     tag = TAG.search(failures[0])
@@ -241,10 +240,10 @@ GOLDEN_CONFIG = {"n": 4, "d": 3, "generator": {"kind": "ph"}, "trials": 2,
 @pytest.mark.parametrize("error", [CriterionMismatchError, TheoremCheckError,
                                    GeneratorTheoremError])
 def test_vanishing_theorem_failure_exits_2(tmp_path, monkeypatch, error):
-    def broken_hn_report(p, laplacians):
+    def broken_hn_verdict(p, pair):
         raise error("planted failure")
 
-    monkeypatch.setattr(hesnil.vanishing, "_hn_report", broken_hn_report)
+    monkeypatch.setattr(hesnil.vanishing, "_hn_verdict", broken_hn_verdict)
     cfg_file = write(tmp_path / "cfg.json", json.dumps(GOLDEN_CONFIG))
     result = CliRunner().invoke(main, ["vanishing", "--config", cfg_file])
     assert result.exit_code == 2
@@ -304,8 +303,10 @@ def test_member_build_failure_names_its_trial(tmp_path, monkeypatch, generator, 
 
 
 def _plant_criterion_mismatch(monkeypatch):
-    # a nonzero trace makes the matrix verdict disagree with the Laplacian one
-    monkeypatch.setattr(hesnil.nilpotency, "trace_powers", lambda p, max_m=None: [p])
+    # a nonzero trace makes the matrix verdict disagree with the Laplacian one in
+    # is_hn, and with the recurrence's Delta Q_[1] in the inverters' verdict
+    for module in (hesnil.nilpotency, hesnil.inversion):
+        monkeypatch.setattr(module, "trace_powers", lambda p, max_m=None: [p])
 
 
 @pytest.mark.parametrize("args, plant", [

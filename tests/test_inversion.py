@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-import hesnil.nilpotency
+import hesnil.inversion
 from hesnil import (
     CriterionMismatchError,
     HNRequiredError,
@@ -33,10 +33,13 @@ from hesnil import (
     potential_from_gradient,
     power_flow_check,
     qt_power,
+    trace_powers,
 )
 from hesnil import (
     DeformedPair, PolyVector, TGraded, build_member, compose_poly, grad_pair, laplacian, partial)
-from conftest import build_hn_corpus, count_squares, random_order2_poly, reference_exp
+from hesnil.inversion import _hn_verdict
+from conftest import (
+    build_hn_corpus, build_non_hn_corpus, count_squares, random_order2_poly, reference_exp)
 
 ALL_METHODS = (invert_general, invert_hn, invert_closed, pair_from_fixed_point)
 
@@ -224,7 +227,7 @@ def test_gradient_burgers_residual_matches_the_series_route_off_the_solution():
         burgers_residual(DeformedPair(WORKED, TGraded(WORKED.arity, [], 0), 0, "empty"))
 
 
-def test_closed_form_refuses_non_hn_input_once_p_to_the_n_is_formed(monkeypatch):
+def test_closed_form_refuses_non_hn_input_before_any_power_of_p(monkeypatch):
     p = parse("z1^3 + z1*z2^2 + z2*z3^2")
     steps = []
     poly_mul = Poly.__mul__
@@ -239,12 +242,55 @@ def test_closed_form_refuses_non_hn_input_once_p_to_the_n_is_formed(monkeypatch)
         steps.clear()
         with pytest.raises(HNRequiredError):
             refuse()
-        # P * P and P^2 * P: the chain stops at P^n, n = 3, not at P^12 or P^13
-        assert steps == [3, 6]
-    # both criteria are still computed and cross-checked on a refusal
-    monkeypatch.setattr(hesnil.nilpotency, "trace_powers", lambda q: [Poly.zero(q.arity)] * 3)
+        # the verdict comes from the gradient recurrence, which forms no power of P
+        assert steps == []
+    # both routes are still computed and cross-checked on a refusal
+    monkeypatch.setattr(hesnil.inversion, "trace_powers", lambda q: [Poly.zero(q.arity)] * 3)
     with pytest.raises(CriterionMismatchError):
         invert_closed(p, 12)
+
+
+def _verdict_inputs():
+    hn = [build_member(4, d, kind, {}, 7)[0]
+          for kind in ("w", "wtilde", "ug", "pg", "ph") for d in (3, 4)]
+    # quadratic P with H = Hes P: Tr H^m = 0 below m = 3 and below m = 4
+    late = [parse("1/2*z2^2 - 1/2*z3^2 + i*z1*z3"),
+            parse("1/2*i*z1^2 + 1/2*i*z2^2 - z1*z3 + z2*z3 - 1/2*i*z3^2 - 1/2*i*z4^2")]
+    return hn + [WORKED], build_non_hn_corpus(12) + late
+
+
+def test_recurrence_verdict_is_the_hn_criterion(monkeypatch):
+    hn, non_hn = _verdict_inputs()
+    # every fourth random non-HN member is harmonic; the last two start later still
+    assert [laplacian(p).is_zero() for p in non_hn[3:12:4]] == [True] * 3
+    assert [t.is_zero() for t in trace_powers(non_hn[-2])] == [True, True, False]
+    assert [t.is_zero() for t in trace_powers(non_hn[-1])] == [True, True, True, False]
+    for p in hn + non_hn:
+        pair = invert_general(p, p.arity)
+        assert _hn_verdict(p, pair) == is_hn(p).is_hn
+        traces = trace_powers(p)
+        first = next((m for m, t in enumerate(traces, 1) if not t.is_zero()), None)
+        assert (first is None) == (p in hn)
+        for m in range(1, (first or p.arity) + 1):
+            # zero below the first nonzero trace, and Tr Hes(P)^m itself there
+            assert laplacian(pair.q_slot(m)) == traces[m - 1]
+    # routes that agree on every verdict but not as polynomials are a bug
+    monkeypatch.setattr(hesnil.inversion, "trace_powers",
+                        lambda q: [t.scale(2) for t in trace_powers(q)])
+    for p in non_hn:
+        with pytest.raises(CriterionMismatchError):
+            _hn_verdict(p, invert_general(p, p.arity))
+
+
+@pytest.mark.parametrize("text", ["(z1+i*z2)^3 + z1^2*z2^2", "z1^2*z2 + (z1+i*z2)^4"])
+def test_hn_recurrence_refuses_non_hn_input_under_every_cap(text):
+    # each truncation at or below degree 3 drops a component, and some are HN
+    p = parse(text)
+    assert not is_hn(p).is_hn and p.is_homogeneous() is None
+    assert any(is_hn(p.truncate(c)).is_hn for c in range(p.degree()))
+    for cap in range(p.degree() + 1):
+        with pytest.raises(HNRequiredError, match="invert_hn needs Hessian-nilpotent input"):
+            invert_hn(p, 4, z_cap=cap)
 
 
 def test_heat_residual_vanishes_for_hn():
@@ -365,12 +411,12 @@ def test_closed_form_and_its_verdict_share_one_chain(monkeypatch, member):
 def test_closed_form_cross_checks_both_criteria(monkeypatch, member):
     kind, n, d = HN_MEMBERS[member]
     p, _ = build_member(n, d, kind, {}, 7)
-    # a matrix route that disagrees with the Laplacian route is a bug, never a verdict
-    monkeypatch.setattr(hesnil.nilpotency, "trace_powers", lambda q: [Poly.one(q.arity)])
-    with pytest.raises(CriterionMismatchError):
-        invert_closed(p, 4)
-    with pytest.raises(CriterionMismatchError):
-        qt_power(p, 2, 4)
+    # a trace route that disagrees with the recurrence route is a bug, never a verdict
+    monkeypatch.setattr(hesnil.inversion, "trace_powers", lambda q: [Poly.one(q.arity)])
+    for method in (lambda: invert_closed(p, 4), lambda: qt_power(p, 2, 4),
+                   lambda: invert_hn(p, 4)):
+        with pytest.raises(CriterionMismatchError):
+            method()
 
 
 def test_z_cap_matches_truncated_exact():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import hesnil.inversion
 import hesnil.vanishing
 from hesnil.diffops import laplacian_powers_table
 from hesnil import (
@@ -20,9 +21,9 @@ from hesnil import (
     alpha_bound,
     build_member,
     emit_report,
+    invert_general,
     is_hn,
     isotropy_check,
-    laplacian_powers,
     load_report_json,
     parse,
     pd_qt_check,
@@ -303,6 +304,8 @@ def _rebind_everywhere(monkeypatch, original, replacement):
     {"n": 4, "d": 3, "generator": {"kind": "ph"}, "seed": 7, "t_order": 4},
     {"n": 4, "d": 4, "generator": {"kind": "pg"}, "seed": 3, "t_order": 3},
     {"n": 4, "d": 4, "generator": {"kind": "pg"}, "seed": 3, "t_order": 6},
+    # n above the window's top power: a verdict read off P^n would form P^6
+    {"n": 6, "d": 3, "generator": {"kind": "ph"}, "seed": 1, "t_order": 3},
 ])
 def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     cfg = ExperimentConfig.from_dict({**config, "trials": 1})
@@ -322,12 +325,12 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
                 depth[0] -= 1
         return inner
 
-    # run_trial takes its verdict from _hn_report, which is_hn also wraps
-    counted_hn_report = allowed(hesnil.nilpotency._hn_report)
+    # run_trial takes its verdict from _hn_verdict, which the HN-only inverters also call
+    counted_hn_verdict = allowed(hesnil.inversion._hn_verdict)
 
-    def counting_hn_report(q, laplacians):
+    def counting_hn_verdict(q, pair):
         hn_calls.append(q)
-        return counted_hn_report(q, laplacians)
+        return counted_hn_verdict(q, pair)
 
     laplacian_iter = hesnil.diffops.laplacian_iter
 
@@ -348,7 +351,7 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
                 stray.append(("power", degree))
         return poly_mul(a, b)
 
-    _rebind_everywhere(monkeypatch, hesnil.nilpotency._hn_report, counting_hn_report)
+    _rebind_everywhere(monkeypatch, hesnil.inversion._hn_verdict, counting_hn_verdict)
     _rebind_everywhere(monkeypatch, laplacian_iter, watched_laplacian_iter)
     monkeypatch.setattr(Poly, "__mul__", watched_mul)
     monkeypatch.setattr(hesnil.vanishing, "_vanishing_flags",
@@ -359,24 +362,31 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     assert report.isotropy_pass == {"derivative_ideal": True, "pd_on_q": True}
     assert len(hn_calls) == 1 and hn_calls[0] == p
     assert stray == []
-    # the window reaches P^{max(min(M,4),2)+1} and is_hn P^n; nothing forms a higher
-    # power, as the flags past the window come from the gradient recurrence
-    top_power = max(max(min(cfg.t_order, 4), 2) + 1, cfg.n)
-    assert product_degrees and max(product_degrees) <= cfg.d * top_power
-    # the verdict's Delta^m P^m and the window share one chain of powers
+    # the window reaches P^{max(min(M,4),2)+1} and nothing forms a higher power: the
+    # verdict and the flags past the window come from the gradient recurrence
+    assert product_degrees and max(product_degrees) <= cfg.d * (max(min(cfg.t_order, 4), 2) + 1)
+    assert len(squares) == 1
+
+    # a non-HN verdict reads the whole window off one chain, up to P^{M+1}
+    monkeypatch.setattr(hesnil.vanishing, "_hn_verdict", lambda q, pair: False)
+    product_degrees.clear()
+    squares.clear()
+    report, failures = hesnil.vanishing.run_trial(cfg, 0)
+    assert len(failures) == 1 and not report.hn_verdict
+    assert max(product_degrees) == cfg.d * (cfg.t_order + 1)
     assert len(squares) == 1
 
 
 @pytest.mark.parametrize("big_m", [2, 6])
 @pytest.mark.parametrize("kind", hesnil.vanishing.GENERATOR_KINDS)
 def test_one_chain_gives_the_verdict_route_and_the_window(kind, big_m):
-    # n = 4 is above M = 2 and below M = 6
+    # n = 4 is above M = 2 and below M = 6; run_trial's one recurrence gives the
+    # verdict, and one chain of powers the window
     p, _ = build_member(4, 3, kind, {}, 11)
-    window, laplacians = hesnil.vanishing._vanishing_flags(p, big_m, p.arity)
-    assert laplacians == laplacian_powers(p)
-    assert window == hesnil.vanishing._vanishing_flags(p, big_m)[0]
-    assert len(window) == big_m + 1
-    assert hesnil.nilpotency._hn_report(p, laplacians) == is_hn(p)
+    window = hesnil.vanishing._vanishing_flags(p, big_m)
+    assert window == [hesnil.diffops.laplacian_iter(p ** (m + 1), m) for m in range(big_m + 1)]
+    pair = invert_general(p, max(big_m + 1, p.arity))
+    assert hesnil.inversion._hn_verdict(p, pair) == is_hn(p).is_hn
 
 
 def test_flag_cross_check_compares_every_flag(monkeypatch):
