@@ -10,9 +10,10 @@ Three constructions are implemented: the gradient recurrence valid for
 every P, the Laplacian recurrence valid for Hessian-nilpotent P, and the
 closed form Q_[m] = Delta^{m-1} P^m / (2^{m-1} m! (m-1)!), also HN-only.
 A fixed-point iteration on G itself provides a fourth, derivative-free
-route.  The HN-only routes refuse non-HN input on the gradient recurrence's
-verdict, forming no power of P.  The check functions return residuals or
-(lhs, rhs) pairs and never assert; callers decide what zero means for them.
+route.  The Laplacian recurrence certifies itself: the Laplacians of its slots
+give the HN verdict, so the HN-only routes refuse non-HN input on it, forming
+no power of P.  The check functions return residuals or (lhs, rhs) pairs and
+never assert; callers decide what zero means for them.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .diffops import PolyVector, grad_pair, laplacian, laplacian_powers_table, partial
+from .diffops import PolyVector, laplacian, laplacian_powers_table, partial
 from .gaussrat import GaussianRational, ScalarLike
-from .nilpotency import CriterionMismatchError, trace_powers
+from .nilpotency import CriterionMismatchError, TheoremCheckError, trace_powers
 from .poly import Poly, _Packed, _exp_packed, _poly_dot, format_poly
 from .tgraded import TGraded, _compose_packed, _exp_slots, _slot, exp_tgraded
 
@@ -98,52 +99,53 @@ def invert_general(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deform
     return _pair(p, slots, z_cap, "general")
 
 
-def _hn_verdict(p: Poly, pair: DeformedPair) -> bool:
-    """Whether p is HN, from invert_general's uncapped pair for p to t_order >= arity.
-
-    Delta Q_t = sum_k t^k Tr H^{k+1}(G_t) for H = Hes P, so while Delta Q_[j] = 0 for
-    j < m, Delta Q_[m] = Tr H^m: by Newton's identities P is HN iff Delta Q_[m] = 0 for
-    m <= n.  Raises unless both routes agree as polynomials up to the first nonzero m.
-    """
-    for m, trace in enumerate(trace_powers(p), 1):
-        if laplacian(pair.q_slot(m)) != trace:
-            raise CriterionMismatchError(
-                f"Delta Q_[{m}] differs from Tr Hes(P)^{m} on {format_poly(p)!r}")
-        if not trace.is_zero():
-            return False
-    return True
-
-
-def invert_hn(p: Poly, t_order: int, z_cap: Optional[int] = None) -> DeformedPair:
-    """Laplacian recurrence, Hessian-nilpotent input only:
+def _hn_slots(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Tuple[bool, List[Poly]]:
+    """Whether p is HN, and Q_[1..T], T = max(t_order, n, 1), by the Laplacian recurrence
 
     Q_[1] = P,   Q_[m] = 1/(4(m-1)) Delta sum_{k+l=m} Q_[k] Q_[l].
 
-    With a z-degree cap, earlier slots are kept to a padded degree so the
-    Laplacian applied at each later step cannot eat into the trusted
-    window; the returned slots are all exact through z_cap.
+    While Q_[1..m-1] are harmonic, slot m is invert_general's, and Delta Q_t =
+    sum_k t^k Tr H^{k+1}(G_t) for H = Hes P, so the first nonzero Delta Q_[m] is
+    Tr H^m: by Newton's identities P is HN iff Delta Q_[m] = 0 for m <= n; for non-HN
+    p the slots stop at that m.  Raises unless both routes agree as polynomials there,
+    or if a later slot is not harmonic.  With a z-degree cap, slot m > n is kept to
+    z_cap + 2(T - m), so each Laplacian leaves z_cap exact.
     """
-    # invert_general refuses order < 2 first
-    if not _hn_verdict(p, invert_general(p, max(p.arity, 1))):
+    _require_order2(p)
+    traces = trace_powers(p)  # Tr H^m for m <= n: the verdict's window
+    n, total = len(traces), max(t_order, len(traces), 1)
+    # every product below has degree at most total (deg P - 2) + 4
+    forms, last = [_Packed.of(p, total * (p.degree() - 2) + 4)], 0
+    for m in range(1, total + 1):
+        if m > 1:
+            if m > max(2 * last, n):
+                break  # closed as in invert_general: every slot from m on is zero
+            # the k = l pair once, the k < l pairs twice; the sum kept 2 degrees past slot m
+            ks = range(1, m // 2 + 1)
+            cap = None if z_cap is None or m <= n else z_cap + 2 * (total + 1 - m)
+            acc = _Packed.dot([(forms[k - 1], forms[m - k - 1]) for k in ks],
+                              [1 if 2 * k == m else 2 for k in ks])
+            forms.append(acc.truncate(cap).laplacian())
+            forms[-1].den *= 4 * (m - 1)
+        last, lap = m if forms[-1].terms else last, forms[-1].laplacian()
+        if m <= n and (lap.terms or not traces[m - 1].is_zero()):
+            if lap.poly() != traces[m - 1]:
+                raise CriterionMismatchError(
+                    f"Delta Q_[{m}] differs from Tr Hes(P)^{m} on {format_poly(p)!r}")
+            return False, [f.poly() for f in forms]
+        if lap.terms:
+            raise TheoremCheckError(f"Q_[{m}] is not harmonic past the verdict: {format_poly(p)!r}")
+    return True, [f.poly() for f in forms] + [Poly.zero(p.arity)] * (total - len(forms))
+
+
+def invert_hn(p: Poly, t_order: int, z_cap: Optional[int] = None) -> DeformedPair:
+    """The Laplacian recurrence of _hn_slots, HN input only; exact through z_cap."""
+    hn, slots = _hn_slots(p, t_order, z_cap)
+    if not hn:
         raise HNRequiredError("invert_hn needs Hessian-nilpotent input")
     if t_order < 1:
         raise ValueError("t_order must be at least 1")
-
-    def cap_for(m: int) -> Optional[int]:
-        return None if z_cap is None else z_cap + 2 * (t_order - m)
-
-    slots = [p if z_cap is None else p.truncate(cap_for(1))]
-    for m in range(2, t_order + 1):
-        # the k = l pair once, the k < l pairs twice
-        ks = range(1, m // 2 + 1)
-        acc = _poly_dot(p.arity, [(slots[k - 1], slots[m - k - 1]) for k in ks],
-                        [1 if 2 * k == m else 2 for k in ks])
-        q_m = laplacian(acc).scale(Fraction(1, 4 * (m - 1)))
-        cap = cap_for(m)
-        if cap is not None:
-            q_m = q_m.truncate(cap)
-        slots.append(q_m)
-    return _pair(p, slots, z_cap, "hn_recurrence")
+    return _pair(p, slots[:t_order], z_cap, "hn_recurrence")
 
 
 def invert_closed(p: Poly, t_order: int, z_cap: Optional[int] = None) -> DeformedPair:
@@ -162,7 +164,7 @@ def _power_slots(p: Poly, k: int, t_order: int, who: str, error: Optional[str]) 
     on order < 2, then on non-HN input (before any power of P is formed), then
     with the caller's parameter error if there is one.
     """
-    if not _hn_verdict(p, invert_general(p, max(p.arity, 1))):
+    if not _hn_slots(p, p.arity)[0]:
         raise HNRequiredError(f"{who} needs Hessian-nilpotent input")
     if error is not None:
         raise ValueError(error)

@@ -6,7 +6,7 @@ when the traces of its first n powers vanish, which gives the matrix
 route.  The equivalent polynomial route checks Delta^m P^m = 0 for
 1 <= m <= n.  Both are computed; a disagreement cannot come from the
 mathematics, only from a bug, so it raises instead of returning.  Other
-verdicts read the gradient recurrence instead (inversion._hn_verdict).
+verdicts read the Laplacian recurrence's slots (inversion._hn_slots).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from .gaussrat import GaussianRational
 from .poly import Poly, format_poly
 from .diffops import PolyVector, apply_D, grad, laplacian_powers_table, sigma_squared
 from .nilpotency import TheoremCheckError, is_hn
-from .inversion import _hn_verdict, invert_general
+from .inversion import _hn_slots
 from .generators import (
     IsotropicSet,
     IsotropyViolation,
@@ -372,11 +372,9 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     big_m = cfg.t_order
     failures: List[str] = []
 
-    # the gradient recurrence does not assume HN: its slots give the verdict, and
-    # for HN P the flags past the window
-    pair = invert_general(p, max(big_m + 1, p.arity))
+    # the self-certifying recurrence gives the verdict and, for HN P, the later flags
     try:
-        hn = _hn_verdict(p, pair)
+        hn, slots = _hn_slots(p, big_m + 1)
     except TheoremCheckError as exc:
         raise TheoremCheckError(f"{tag}, is_hn: {exc}") from exc
     if not hn:
@@ -388,11 +386,11 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     if hn:
         # for HN P, Q_[m+1] = Delta^m P^{m+1} / (2^m m! (m+1)!) (the closed form),
         # so the recurrence must agree with the window on its values
-        flags += [pair.q_slot(m + 1).is_zero() for m in range(len(flags) + 1, big_m + 1)]
-        off = [m for m in range(min(big_m, 4) + 1) if pair.q_slot(m + 1) != window[m].scale(
+        flags += [slots[m].is_zero() for m in range(len(flags) + 1, big_m + 1)]
+        off = [m for m in range(min(big_m, 4) + 1) if slots[m] != window[m].scale(
             Fraction(1, 2 ** m * factorial(m) * factorial(m + 1)))]
         if off:
-            failures.append(f"{tag}, flag cross-check: invert_general's Q_[m+1] differs "
+            failures.append(f"{tag}, flag cross-check: the recurrence's Q_[m+1] differs "
                             f"from Delta^m P^(m+1) / (2^m m! (m+1)!) at m = {off}")
 
     degree_t = max((m for m, zero in enumerate(flags, 1) if not zero), default=0)

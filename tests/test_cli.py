@@ -168,7 +168,7 @@ def test_failure_tag_rebuilds_the_member(monkeypatch, kind, n, d, params):
 
     # a planted non-HN verdict makes the trial report a failure, with its tag
     monkeypatch.setattr(hesnil.vanishing, "build_member", recording)
-    monkeypatch.setattr(hesnil.vanishing, "_hn_verdict", lambda p, pair: False)
+    monkeypatch.setattr(hesnil.vanishing, "_hn_slots", lambda p, t_order: (False, [p]))
     _, failures = hesnil.vanishing.run_trial(cfg, 1)
     assert len(failures) == 1
     tag = TAG.search(failures[0])
@@ -240,10 +240,10 @@ GOLDEN_CONFIG = {"n": 4, "d": 3, "generator": {"kind": "ph"}, "trials": 2,
 @pytest.mark.parametrize("error", [CriterionMismatchError, TheoremCheckError,
                                    GeneratorTheoremError])
 def test_vanishing_theorem_failure_exits_2(tmp_path, monkeypatch, error):
-    def broken_hn_verdict(p, pair):
+    def broken_hn_slots(p, t_order):
         raise error("planted failure")
 
-    monkeypatch.setattr(hesnil.vanishing, "_hn_verdict", broken_hn_verdict)
+    monkeypatch.setattr(hesnil.vanishing, "_hn_slots", broken_hn_slots)
     cfg_file = write(tmp_path / "cfg.json", json.dumps(GOLDEN_CONFIG))
     result = CliRunner().invoke(main, ["vanishing", "--config", cfg_file])
     assert result.exit_code == 2

@@ -37,7 +37,8 @@ from hesnil import (
 )
 from hesnil import (
     DeformedPair, PolyVector, TGraded, build_member, compose_poly, grad_pair, laplacian, partial)
-from hesnil.inversion import _hn_verdict
+from hesnil.inversion import _hn_slots
+from hesnil.nilpotency import TheoremCheckError
 from conftest import (
     build_hn_corpus, build_non_hn_corpus, count_squares, random_order2_poly, reference_exp)
 
@@ -242,7 +243,7 @@ def test_closed_form_refuses_non_hn_input_before_any_power_of_p(monkeypatch):
         steps.clear()
         with pytest.raises(HNRequiredError):
             refuse()
-        # the verdict comes from the gradient recurrence, which forms no power of P
+        # the verdict comes from the Laplacian recurrence, which forms no power of P
         assert steps == []
     # both routes are still computed and cross-checked on a refusal
     monkeypatch.setattr(hesnil.inversion, "trace_powers", lambda q: [Poly.zero(q.arity)] * 3)
@@ -267,10 +268,13 @@ def test_recurrence_verdict_is_the_hn_criterion(monkeypatch):
     assert [t.is_zero() for t in trace_powers(non_hn[-1])] == [True, True, True, False]
     for p in hn + non_hn:
         pair = invert_general(p, p.arity)
-        assert _hn_verdict(p, pair) == is_hn(p).is_hn
+        verdict, slots = _hn_slots(p, p.arity)
+        assert verdict == is_hn(p).is_hn
         traces = trace_powers(p)
         first = next((m for m, t in enumerate(traces, 1) if not t.is_zero()), None)
         assert (first is None) == (p in hn)
+        # the gradient recurrence's slots, up to and including the first non-harmonic one
+        assert slots == list(pair.q.coeffs[:first or p.arity])
         for m in range(1, (first or p.arity) + 1):
             # zero below the first nonzero trace, and Tr Hes(P)^m itself there
             assert laplacian(pair.q_slot(m)) == traces[m - 1]
@@ -279,7 +283,48 @@ def test_recurrence_verdict_is_the_hn_criterion(monkeypatch):
                         lambda q: [t.scale(2) for t in trace_powers(q)])
     for p in non_hn:
         with pytest.raises(CriterionMismatchError):
-            _hn_verdict(p, invert_general(p, p.arity))
+            _hn_slots(p, p.arity)
+
+
+@pytest.mark.parametrize("kind", ["w", "wtilde", "ug", "pg", "ph"])
+@pytest.mark.parametrize("cap", [None, 2, 6])
+def test_hn_slots_are_the_gradient_recurrences(kind, cap):
+    # on HN input the Laplacian recurrence gives invert_general's slots through z_cap,
+    # past n and up to its closure
+    p, _ = build_member(4, 3, kind, {}, 7)
+    hn, slots = _hn_slots(p, 9, cap)
+    assert hn and len(slots) == 9
+    assert [q if cap is None else q.truncate(cap) for q in slots] == \
+        list(invert_general(p, 9, cap).q.coeffs)
+
+
+def test_hn_only_inverters_refuse_a_harmonic_non_hn_input():
+    # Delta P = 0 but Tr Hes(P)^2 = 8: refused at slot 2, with each caller's message
+    p = parse("z1^2 - z2^2")
+    assert laplacian(p).is_zero() and not is_hn(p).is_hn
+    assert _hn_slots(p, 5) == (False, [p, invert_general(p, 2).q_slot(2)])
+    for who, refuse in (("invert_hn", lambda: invert_hn(p, 5)),
+                        ("invert_hn", lambda: invert_hn(p, 5, z_cap=2)),
+                        ("invert_closed", lambda: invert_closed(p, 5)),
+                        ("qt_power", lambda: qt_power(p, 2, 5))):
+        with pytest.raises(HNRequiredError, match=f"^{who} needs Hessian-nilpotent input$"):
+            refuse()
+
+
+def test_hn_slots_raise_on_either_planted_fault(monkeypatch):
+    # Tr H^m vanishes for m < 3 and not at m = 3, so Delta Q_[3] != 0
+    p = parse("1/2*z2^2 - 1/2*z3^2 + i*z1*z3")
+    traces = trace_powers(p)
+    # a trace route that disagrees with Delta Q_[3] is a bug, never a verdict
+    doubled = traces[:2] + [traces[2].scale(2)]
+    monkeypatch.setattr(hesnil.inversion, "trace_powers", lambda q: doubled)
+    with pytest.raises(CriterionMismatchError, match=r"Delta Q_\[3\] differs"):
+        _hn_slots(p, 5)
+    # with the trace route cut at m = 2, slot 3 lies past the verdict and must be harmonic
+    monkeypatch.setattr(hesnil.inversion, "trace_powers", lambda q: traces[:2])
+    with pytest.raises(TheoremCheckError, match=r"Q_\[3\] is not harmonic past") as raised:
+        _hn_slots(p, 5)
+    assert raised.type is TheoremCheckError
 
 
 @pytest.mark.parametrize("text", ["(z1+i*z2)^3 + z1^2*z2^2", "z1^2*z2 + (z1+i*z2)^4"])

@@ -1,6 +1,5 @@
 """Experiment harness: config validation, trial reports, serialization."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +15,6 @@ from hesnil import (
     ConfigError,
     ExperimentConfig,
     Poly,
-    TGraded,
     VanishingReport,
     alpha_bound,
     build_member,
@@ -325,12 +323,12 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
                 depth[0] -= 1
         return inner
 
-    # run_trial takes its verdict from _hn_verdict, which the HN-only inverters also call
-    counted_hn_verdict = allowed(hesnil.inversion._hn_verdict)
+    # run_trial takes its verdict from _hn_slots, which the HN-only inverters also call
+    counted_hn_slots = allowed(hesnil.inversion._hn_slots)
 
-    def counting_hn_verdict(q, pair):
+    def counting_hn_slots(q, t_order, z_cap=None):
         hn_calls.append(q)
-        return counted_hn_verdict(q, pair)
+        return counted_hn_slots(q, t_order, z_cap)
 
     laplacian_iter = hesnil.diffops.laplacian_iter
 
@@ -351,7 +349,7 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
                 stray.append(("power", degree))
         return poly_mul(a, b)
 
-    _rebind_everywhere(monkeypatch, hesnil.inversion._hn_verdict, counting_hn_verdict)
+    _rebind_everywhere(monkeypatch, hesnil.inversion._hn_slots, counting_hn_slots)
     _rebind_everywhere(monkeypatch, laplacian_iter, watched_laplacian_iter)
     monkeypatch.setattr(Poly, "__mul__", watched_mul)
     monkeypatch.setattr(hesnil.vanishing, "_vanishing_flags",
@@ -363,12 +361,12 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     assert len(hn_calls) == 1 and hn_calls[0] == p
     assert stray == []
     # the window reaches P^{max(min(M,4),2)+1} and nothing forms a higher power: the
-    # verdict and the flags past the window come from the gradient recurrence
+    # verdict and the flags past the window come from the Laplacian recurrence
     assert product_degrees and max(product_degrees) <= cfg.d * (max(min(cfg.t_order, 4), 2) + 1)
     assert len(squares) == 1
 
     # a non-HN verdict reads the whole window off one chain, up to P^{M+1}
-    monkeypatch.setattr(hesnil.vanishing, "_hn_verdict", lambda q, pair: False)
+    monkeypatch.setattr(hesnil.vanishing, "_hn_slots", lambda q, t_order: (False, [q]))
     product_degrees.clear()
     squares.clear()
     report, failures = hesnil.vanishing.run_trial(cfg, 0)
@@ -385,23 +383,22 @@ def test_one_chain_gives_the_verdict_route_and_the_window(kind, big_m):
     p, _ = build_member(4, 3, kind, {}, 11)
     window = hesnil.vanishing._vanishing_flags(p, big_m)
     assert window == [hesnil.diffops.laplacian_iter(p ** (m + 1), m) for m in range(big_m + 1)]
-    pair = invert_general(p, max(big_m + 1, p.arity))
-    assert hesnil.inversion._hn_verdict(p, pair) == is_hn(p).is_hn
+    hn, slots = hesnil.inversion._hn_slots(p, max(big_m + 1, p.arity))
+    assert hn == is_hn(p).is_hn
+    assert slots == list(invert_general(p, len(slots)).q.coeffs)
 
 
 def test_flag_cross_check_compares_every_flag(monkeypatch):
     # flags [False, False, False]: a wrong zero below the top one keeps deg_t at 3
     cfg = ExperimentConfig.from_dict(
         {"n": 6, "d": 3, "generator": {"kind": "ph"}, "trials": 1, "seed": 1, "t_order": 3})
-    invert_general = hesnil.vanishing.invert_general
+    hn_slots = hesnil.vanishing._hn_slots
 
-    def zeroes_q2(p, t_order, z_cap=None):
-        pair = invert_general(p, t_order, z_cap)
-        slots = list(pair.q.coeffs)
-        slots[1] = Poly.zero(p.arity)
-        return dataclasses.replace(pair, q=TGraded(p.arity, slots, pair.t_order, z_cap))
+    def zeroes_q2(p, t_order):
+        hn, slots = hn_slots(p, t_order)
+        return hn, slots[:1] + [Poly.zero(p.arity)] + slots[2:]
 
-    monkeypatch.setattr(hesnil.vanishing, "invert_general", zeroes_q2)
+    monkeypatch.setattr(hesnil.vanishing, "_hn_slots", zeroes_q2)
     report, failures = hesnil.vanishing.run_trial(cfg, 0)
     assert report.vanishing_flags == [False, False, False] and report.deg_t == 3
     assert len(failures) == 1
@@ -412,20 +409,18 @@ def test_flag_cross_check_compares_every_flag(monkeypatch):
 def test_flag_cross_check_compares_values(monkeypatch):
     # a wrong but nonzero Q_[slot + 1] leaves every zero pattern as it was; at
     # t_order 6, flags 5 and 6 come from the recurrence and Q_[3] is still checked
-    invert_general = hesnil.vanishing.invert_general
+    hn_slots = hesnil.vanishing._hn_slots
     for slot, big_m, flags in ((1, 3, [False, False, False]),
                                (2, 6, [False, False, False, True, True, True])):
         cfg = ExperimentConfig.from_dict(
             {"n": 6, "d": 3, "generator": {"kind": "ph"}, "trials": 1, "seed": 1,
              "t_order": big_m})
 
-        def doubles_one_slot(p, t_order, z_cap=None, slot=slot):
-            pair = invert_general(p, t_order, z_cap)
-            slots = list(pair.q.coeffs)
-            slots[slot] = slots[slot].scale(2)
-            return dataclasses.replace(pair, q=TGraded(p.arity, slots, pair.t_order, z_cap))
+        def doubles_one_slot(p, t_order, slot=slot):
+            hn, slots = hn_slots(p, t_order)
+            return hn, slots[:slot] + [slots[slot].scale(2)] + slots[slot + 1:]
 
-        monkeypatch.setattr(hesnil.vanishing, "invert_general", doubles_one_slot)
+        monkeypatch.setattr(hesnil.vanishing, "_hn_slots", doubles_one_slot)
         report, failures = hesnil.vanishing.run_trial(cfg, 0)
         assert report.vanishing_flags == flags
         assert len(failures) == 1
