@@ -1,45 +1,31 @@
 """Differential operators on polynomials over Q(i).
 
-Everything is exact and termwise.  The pairing <., .> used throughout is
-the bilinear sum of coordinatewise products, with no conjugation; the
-same convention backs f(D), the constant-coefficient operator obtained by
-substituting d/dz_i for z_i in f.
+Everything is exact.  The pairing <., .> used throughout is the bilinear
+sum of coordinatewise products, with no conjugation; the same convention
+backs f(D), the constant-coefficient operator obtained by substituting
+d/dz_i for z_i in f.  Every derivative runs on the packed integer form:
+each input is packed once and each output entry reduced once.
 """
 
 from __future__ import annotations
 
 import math
-from operator import sub
-from typing import Callable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from .gaussrat import GaussianRational, ScalarLike
-from .poly import Poly, _Packed, _from_numerators, _numerators, _poly_dot
+from .poly import Poly, _Packed, _poly_dot
 
 
-def _linear_image(p: Poly, images: Callable, den: int = 1) -> Poly:
-    """sum of (kr + i ki) / den * c * z^key over the terms c * z^mono of p and the
-    (key, kr, ki) of images(mono), accumulated on integer numerators; the one
-    termwise derivative loop."""
-    pden, nums = _numerators([(img, c) for m, c in p.terms.items() if (img := images(m))])
-    acc: dict = {}
-    get = acc.get
-    for img, re, im in nums:
-        for key, kr, ki in img:
-            r, i = re * kr - im * ki, re * ki + im * kr
-            c = get(key)
-            if c is None:
-                acc[key] = [r, i]
-            else:
-                c[0] += r
-                c[1] += i
-    return Poly._raw(p.arity, _from_numerators(acc.items(), pden * den))
+def _partials(p: Poly, top: int) -> List[_Packed]:
+    """The first partials of p, packed once at the width of top >= deg p."""
+    form = _Packed.of(p, top)
+    return [form.partial(i) for i in range(p.arity)]
 
 
 def partial(p: Poly, index: int) -> Poly:
     if not 0 <= index < p.arity:
         raise ValueError(f"variable index {index} out of range for arity {p.arity}")
-    return _linear_image(p, lambda m: ((m[:index] + (m[index] - 1,) + m[index + 1:], m[index], 0),)
-                         if m[index] else ())
+    return _Packed.of(p, p.degree()).partial(index).poly()
 
 
 def partial_multi(p: Poly, orders: Sequence[int]) -> Poly:
@@ -90,10 +76,12 @@ def laplacian_powers_table(p: Poly, top: Union[int, Sequence[int]],
 
 
 def grad_pair(p: Poly, q: Poly) -> Poly:
-    """<grad p, grad q> = sum_i (dp/dz_i)(dq/dz_i), bilinear."""
+    """<grad p, grad q> = sum_i (dp/dz_i)(dq/dz_i), bilinear, as one dot."""
     if p.arity != q.arity:
         raise ValueError("arity mismatch")
-    return _poly_dot(p.arity, [(partial(p, i), partial(q, i)) for i in range(p.arity)])
+    top = p.degree() + q.degree()
+    pairs = list(zip(_partials(p, top), _partials(q, top)))
+    return _Packed.dot(pairs).poly() if pairs else Poly.zero(p.arity)
 
 
 def sigma_squared(arity: int) -> Poly:
@@ -109,14 +97,8 @@ def apply_D(f: Poly, g: Poly) -> Poly:
     z^e of g has the image c perm(e, s) z^(e - s) per term c z^s of f."""
     if f.arity != g.arity:
         raise ValueError("arity mismatch")
-    fden, ops = _numerators(f.terms.items())
-
-    def image(e):
-        # perm(e, s) = 0 when e < s
-        return [(tuple(map(sub, e, s)), cr * k, ci * k)
-                for s, cr, ci in ops if (k := math.prod(map(math.perm, e, s)))]
-
-    return _linear_image(g, image, fden)
+    top = max(f.degree(), g.degree())
+    return _Packed.of(g, top).apply_D(_Packed.of(f, top)).poly()
 
 
 def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
@@ -141,16 +123,18 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
 
 
 def mixed_partial_pair(a: Poly, b: Poly, k: int) -> Poly:
-    """sum over |s| = k of (k choose s) (d^s a)(d^s b)."""
+    """sum over |s| = k of (k choose s) (d^s a)(d^s b), a and b packed once, as one dot."""
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
+    top = max(a.degree() + b.degree(), k)
+    fa, fb = _Packed.of(a, top), _Packed.of(b, top)
     pairs, weights = [], []
     for s in compositions(k, a.arity):
-        da = partial_multi(a, s)
-        if not da.is_zero() and not (db := partial_multi(b, s)).is_zero():
+        op = _Packed.of(Poly(a.arity, {s: 1}), top)
+        if (da := fa.apply_D(op)).terms and (db := fb.apply_D(op)).terms:
             pairs.append((da, db))
             weights.append(multinomial(k, s))
-    return _poly_dot(a.arity, pairs, weights)
+    return _Packed.dot(pairs, weights).poly() if pairs else Poly.zero(a.arity)
 
 
 # -- vectors and matrices of polynomials -------------------------------------
@@ -326,25 +310,23 @@ def poly_det(matrix: PolyMatrix) -> Poly:
 def grad(p: Poly) -> PolyVector:
     if p.arity == 0:
         raise ValueError("gradient needs at least one variable")
-    return PolyVector([partial(p, i) for i in range(p.arity)])
+    return PolyVector([d.poly() for d in _partials(p, p.degree())])
 
 
 def hessian(p: Poly) -> PolyMatrix:
     if p.arity == 0:
         raise ValueError("hessian needs at least one variable")
     n = p.arity
-    firsts = [partial(p, i) for i in range(n)]
+    firsts = _partials(p, p.degree())
     rows = [[Poly.zero(n) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entry = partial(firsts[i], j)
-            rows[i][j] = entry
-            rows[j][i] = entry
+            rows[i][j] = rows[j][i] = firsts[i].partial(j).poly()
     return PolyMatrix(rows)
 
 
 def jacobian(vec: PolyVector) -> PolyMatrix:
-    return PolyMatrix([[partial(p, j) for j in range(vec.arity)] for p in vec])
+    return PolyMatrix([[d.poly() for d in _partials(p, p.degree())] for p in vec])
 
 
 def jacobian_det(vec: PolyVector) -> Poly:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .diffops import PolyVector, laplacian, laplacian_powers_table, partial
+from .diffops import PolyVector, laplacian, laplacian_powers_table
 from .gaussrat import GaussianRational, ScalarLike
 from .nilpotency import CriterionMismatchError, TheoremCheckError, trace_powers
 from .poly import Poly, _Packed, _exp_packed, _poly_dot, format_poly
@@ -211,9 +211,9 @@ def potential_from_gradient(vec: PolyVector) -> Poly:
     q = Poly.zero(n)
     for e in sorted({sum(m) for m in radial.terms}):
         q = q + radial.graded_piece(e).scale(Fraction(1, e))
-    for i in range(n):
-        if partial(q, i) != vec[i]:
-            raise ValueError("input is not an exact gradient field")
+    form = _Packed.of(q, q.degree())
+    if any(form.partial(i).poly() != vec[i] for i in range(n)):
+        raise ValueError("input is not an exact gradient field")
     return q
 
 
@@ -377,24 +377,20 @@ def exp_tilde_check(p: Poly, pair: DeformedPair,
     slot, so no cap is needed; with a cap, operator applications on the
     right are padded before the final truncation.
     """
-    n = p.arity
-    m_top = pair.t_order
+    n, m_top = p.arity, pair.t_order
     tilde = TGraded(n, [Poly.zero(n)] + list(pair.q.coeffs[1:]), m_top, pair.q.z_trunc)
     lhs = exp_tgraded(tilde, z_cap)
-    dp = [partial(p, i) for i in range(n)]
-    quarter_dp2 = laplacian_powers_table(p, 1, (1,))[0][1].scale(Fraction(1, 4))
-
-    def op(f: Poly) -> Poly:
-        pairs = [(dp[i], partial(f, i)) for i in range(n)] + [(quarter_dp2, f)]
-        return laplacian(f).scale(Fraction(1, 2)) + _poly_dot(n, pairs)
-
-    slots = [Poly.one(n)]
-    f = Poly.one(n)
+    # f_k = op^k 1 has degree at most k (2 deg P - 2), so top bounds every product below
+    top = max(m_top, 1) * 2 * max(p.degree(), 1)
+    x, one = _Packed.of(p, top), _Packed.of(Poly.one(n), top)
+    dp, lap_p2 = [x.partial(i) for i in range(n)], _Packed.dot([(x, x)]).laplacian()
+    slots, f = [Poly.one(n)], one
     for k in range(1, m_top):
-        f = op(f)
-        if z_cap is not None:
-            f = f.truncate(z_cap + 2 * (m_top - 1 - k))
-        slots.append(f.scale(Fraction(1, math.factorial(k))))
+        # 4 op(f) = 2 Delta f + 4 <grad P, grad f> + (Delta P^2) f
+        pairs = [(f.laplacian(), one), (lap_p2, f)] + [(d, f.partial(i)) for i, d in enumerate(dp)]
+        cap = None if z_cap is None else z_cap + 2 * (m_top - 1 - k)
+        f = _slot(one, pairs, [2, 1] + [4] * n, 4, cap)
+        slots.append(_Packed(n, f.width, f.den * math.factorial(k), f.terms).poly())
     return lhs, TGraded(n, slots, m_top, z_cap)
 
 

@@ -5,12 +5,13 @@ nonzero GaussianRational coefficients.  The empty dict is the zero
 polynomial; zero coefficients are never stored, so equality is structural.
 Display order is graded lexicographic, highest total degree first.
 
-Products, Laplacians and derivatives run on plain ints: each operand's
-coefficients become Gaussian-integer pairs over one common denominator, the
-lcm of its own, and each output coefficient is reduced once at the end.  The
-private _Packed form keeps a whole chain on ints (matrix powers, Laplacians, the
-gradient recurrence, truncated exp series, series compositions and exponentials,
-the inversion checks' residuals) and reduces only what it returns.
+Every product, scaling and derivative runs on one integer kernel, the private
+_Packed form: a polynomial's coefficients become Gaussian-integer pairs over one
+common denominator, the lcm of its own, and its monomials one int key each.
+Products, Laplacians, partials and f(D) work on those ints, a chain of them
+(matrix powers, the recurrences, truncated exp series, series compositions and
+exponentials, the inversion checks' residuals) stays packed, and each output
+coefficient is reduced once, when a Poly is made from the form.
 
 Two variable naming styles are understood by the text grammar:
 
@@ -27,7 +28,7 @@ import math
 import re as _re
 from fractions import Fraction
 from operator import lshift
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Mapping, Optional, Sequence, Union
 
 from .gaussrat import GaussianRational, ScalarLike
 
@@ -167,10 +168,8 @@ class Poly:
         c = GaussianRational.coerce(value)
         if not c:
             return Poly.zero(self.arity)
-        den, terms = _numerators(self.terms.items())
-        cden, ((_, cr, ci),) = _numerators([(None, c)])
-        return Poly._raw(self.arity, _from_numerators(
-            ((m, (r * cr - i * ci, r * ci + i * cr)) for m, r, i in terms), den * cden))
+        form = _Packed.of(self, self.degree())
+        return _Packed.dot([(form, form.constant(c))]).poly()
 
     def __mul__(self, other: Union["Poly", ScalarLike]) -> "Poly":
         if not isinstance(other, Poly):
@@ -270,25 +269,8 @@ class Poly:
         return f"Poly({self.arity}, {format_poly(self)!r})"
 
 
-def _numerators(items: Collection) -> tuple:
-    """(L, [(key, re*L, im*L), ...]) for (key, coefficient) pairs: the coefficients
-    as Gaussian-integer pairs over one positive denominator L, the lcm of all
-    their denominators."""
-    den = 1
-    for _, c in items:
-        den = math.lcm(den, c.re.denominator, c.im.denominator)
-    return den, [(key, c.re.numerator * (den // c.re.denominator),
-                  c.im.numerator * (den // c.im.denominator)) for key, c in items]
-
-
-def _from_numerators(items: Iterable, den: int) -> dict:
-    """Canonical terms from (mono, (re, im)) integer numerators over den; zeros are dropped."""
-    make = GaussianRational._raw
-    return {m: make(Fraction(r, den), Fraction(i, den)) for m, (r, i) in items if r or i}
-
-
 class _Packed:
-    """A polynomial kept on integers through a chain of products and Laplacians:
+    """A polynomial kept on integers through a chain of products and derivatives:
     each monomial one int key, top.bit_length() + 1 bits per variable (variable
     0 highest; top bounds every degree the chain reaches, so no field carries),
     and terms [(key, re, im), ...], Gaussian-integer numerators over den, no zeros.
@@ -301,11 +283,21 @@ class _Packed:
         self.shifts = range(width * (arity - 1), -1, -width)
 
     @classmethod
-    def of(cls, p: Poly, top: int) -> "_Packed":
-        form = cls(p.arity, max(top, 0).bit_length() + 1, *_numerators(p.terms.items()))
+    def _encode(cls, arity: int, width: int, items: Collection) -> "_Packed":
+        """(mono, coefficient) pairs as packed keys and Gaussian-integer numerators over
+        one positive denominator, the lcm of the coefficients' own."""
+        den = 1
+        for _, c in items:
+            den = math.lcm(den, c.re.denominator, c.im.denominator)
+        form = cls(arity, width, den, [])
         shifts = form.shifts
-        form.terms = [(sum(map(lshift, m, shifts)), r, i) for m, r, i in form.terms]
+        form.terms = [(sum(map(lshift, m, shifts)), c.re.numerator * (den // c.re.denominator),
+                       c.im.numerator * (den // c.im.denominator)) for m, c in items]
         return form
+
+    @classmethod
+    def of(cls, p: Poly, top: int) -> "_Packed":
+        return cls._encode(p.arity, max(top, 0).bit_length() + 1, p.terms.items())
 
     def poly(self) -> Poly:
         """The polynomial, each coefficient reduced once."""
@@ -339,14 +331,40 @@ class _Packed:
 
     def constant(self, value: ScalarLike) -> "_Packed":
         """value as a constant of this form's arity and width."""
-        den, terms = _numerators([(0, GaussianRational.coerce(value))])
-        return _Packed(self.arity, self.width, den, [t for t in terms if t[1] or t[2]])
+        c = GaussianRational.coerce(value)
+        return _Packed._encode(self.arity, self.width, [((0,) * self.arity, c)] if c else [])
 
     def partial(self, index: int) -> "_Packed":
         """d/dz_index: key - (1 << shift) times the exponent e > 0; keys stay distinct."""
         s, mask = self.shifts[index], (1 << self.width) - 1
         return _Packed(self.arity, self.width, self.den, [
             (k - (1 << s), r * e, i * e) for k, r, i in self.terms if (e := k >> s & mask)])
+
+    def apply_D(self, op: "_Packed") -> "_Packed":
+        """op(D) applied to this form, op at the same arity and width: each pair of a
+        term z^e here and a term c z^s of op adds c perm(e, s) z^(e - s) when e >= s in
+        every field.  One borrow test decides that: with the free top bit of every field
+        set in the key, subtracting s clears a field's top bit iff that exponent is short."""
+        mask = (1 << self.width) - 1
+        guard = sum(1 << (s + self.width - 1) for s in self.shifts)
+        ops = [(k, r, i, [(s, f) for s in self.shifts if (f := k >> s & mask)])
+               for k, r, i in op.terms]
+        acc: dict = {}
+        get = acc.get
+        for key, re, im in self.terms:
+            high = key | guard
+            for k, opr, opi, fields in ops:
+                if (high - k) & guard == guard:
+                    w = math.prod([math.perm(key >> s & mask, f) for s, f in fields])
+                    r, i = (re * opr - im * opi) * w, (re * opi + im * opr) * w
+                    c = get(key - k)
+                    if c is None:
+                        acc[key - k] = [r, i]
+                    else:
+                        c[0] += r
+                        c[1] += i
+        return _Packed(self.arity, self.width, self.den * op.den,
+                       [(k, r, i) for k, (r, i) in acc.items() if r or i])
 
     def truncate(self, max_degree: Optional[int]) -> "_Packed":
         """Terms of degree <= max_degree (None: all): key * ones sums the fields in the top one."""
@@ -440,6 +458,11 @@ def _exp_packed(p: Poly, s: ScalarLike, max_degree: int, top: int) -> _Packed:
 
 # -- text grammar ------------------------------------------------------------
 
+# parse refuses base ^ e when C(e + t - 1, t - 1), which bounds the terms of the
+# power of a t-term base, exceeds this; (z1 + z2)^1999, at the bound, already has
+# coefficients near 2^1995 and takes seconds to expand
+MAX_POWER_TERMS = 2000
+
 _TOKEN = _re.compile(r"\s*(?:(\d+)|([zuv])(\d+)|(i)|([-+*^()/]))")
 
 
@@ -512,6 +535,10 @@ class _Parser:
             kind, value = self.take()
             if kind != "int":
                 raise ValueError("exponent must be a nonnegative integer")
+            t = len(base.terms)
+            if t > 1 and math.comb(value + t - 1, t - 1) > MAX_POWER_TERMS:
+                raise ValueError(f"a {t}-term base to the power {value} can have more than "
+                                 f"{MAX_POWER_TERMS} terms")
             return base ** value
         return base
 

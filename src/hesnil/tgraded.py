@@ -172,29 +172,19 @@ class TGraded:
 def compose_poly(p: Poly, values: Sequence[TGraded], t_order: int,
                  z_trunc: Optional[int] = None) -> TGraded:
     """Substitute one series per variable of p; window and z cap join only the series p uses."""
-    return _compose_polys([p], values, [t_order], z_trunc)[0]
-
-
-def _compose_polys(polys: Sequence[Poly], values: Sequence[TGraded], t_orders: Sequence[int],
-                   z_trunc: Optional[int] = None) -> List[TGraded]:
-    """compose_poly of each polynomial at its own t_order, in one _compose_packed."""
-    arity, plans = values[0].arity if values else 0, []
-    for p, t in zip(polys, t_orders):
-        if len(values) != p.arity:
-            raise ValueError(f"need {p.arity} series, got {len(values)}")
-        used = [values[j] for j, e in enumerate(map(max, zip(*p.terms))) if e]
-        if any(v.arity != arity for v in used):
-            raise ValueError("every series must share one arity")
-        plans.append((min([t] + [v.t_order for v in used]),
-                      _min_cap(z_trunc, *(v.z_trunc for v in used))))
-    top = max([p.degree() for p in polys] + [1]) * max(
-        [q.degree() for v in values for q in v.coeffs] + [0])
+    if len(values) != p.arity:
+        raise ValueError(f"need {p.arity} series, got {len(values)}")
+    arity = values[0].arity if values else 0
+    used = [values[j] for j, e in enumerate(map(max, zip(*p.terms))) if e]
+    if any(v.arity != arity for v in used):
+        raise ValueError("every series must share one arity")
+    t = min([t_order] + [v.t_order for v in used])
+    z = _min_cap(z_trunc, *(v.z_trunc for v in used))
+    top = max(p.degree(), 1) * max([q.degree() for v in values for q in v.coeffs] + [0])
     one = _Packed.of(Poly.one(arity), top)
-    outs = _compose_packed([_Packed.of(p, p.degree()) for p in polys],
-                           [[_Packed.of(q, top) for q in v.coeffs] for v in values],
-                           [t for t, _ in plans], one)
-    return [TGraded(arity, [_slot(one, ps, cap=z).poly() for ps in out], t, z)
-            for (t, z), out in zip(plans, outs)]
+    (out,) = _compose_packed([_Packed.of(p, p.degree())],
+                             [[_Packed.of(q, top) for q in v.coeffs] for v in values], [t], one)
+    return TGraded(arity, [_slot(one, ps, cap=z).poly() for ps in out], t, z)
 
 
 def _compose_packed(polys: Sequence[_Packed], values: Sequence[Sequence[_Packed]],

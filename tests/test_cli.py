@@ -112,6 +112,16 @@ def test_unreadable_input_and_negative_z_degree_exit_1(tmp_path):
         assert "Q_[1]" not in result.stdout
 
 
+def test_oversized_power_exits_1_before_expanding(tmp_path):
+    runner = CliRunner()
+    poly_file = write(tmp_path / "big.txt", "(z1+z2+z3)^2000")
+    for args in (["check-hn", poly_file], ["invert", "--t-order", "2", poly_file]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "Error: a 3-term base to the power 2000 can have more than" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
+
 def test_invert_z_degree_caps(tmp_path):
     runner = CliRunner()
     poly_file = write(tmp_path / "p.txt", "z1^2*z2 + z2^3")

@@ -118,9 +118,19 @@ def _apply_D_termwise(f, g):
     ("z1^3*z2^2 + z1*z2", "z1^2*z2"),
     ("2*z1^3 + i*z1", "z1^5 - 1/3*z1^2"),
     ("(1/7 + 2/11*i)*z1^2 + 3/13*z2 - 1/11*i*z1*z2", "(5/13 - 1/7*i)*z1^3*z2 + 4/11*z1*z2^2 + 1/7"),
-], ids=["zero f", "zero g", "constant f", "deg f > deg g", "arity 1", "over 7, 11 and 13"])
+    # z1^2*z2 passes z1^2*z2^3 and z1^3*z2; z1*z2^2 and z2^4 are short in z2, z1^4 in z1
+    ("z1^2*z2 - 1/3*i*z1^3", "z1^2*z2^3 + 2*z1^3*z2 + z1*z2^2 - i*z2^4 + 5/7*z1^4"),
+    ("z1^7*z2", "z1^7*z2^3 + z1^6*z2^7"),
+    # degree 15 packs 5 bits a field: 15 fills the 4 bits below the guard bit
+    ("z1^8 + z2^15", "z1^15 + z1^7*z2^8 + z2^15"),
+    ("2/3 - i", "0"),
+    ("1/3", "1/2 - 2*i"),
+    ("z1*z3^2 - 2*i*z2 + z1^2*z2*z3", "z1^3*z2*z3^3 + (1/5 - i)*z1*z2^2*z3^2 - 3/7*z1^2*z3 + z2"),
+], ids=["zero f", "zero g", "constant f", "deg f > deg g", "arity 1", "over 7, 11 and 13",
+        "one field short", "z1^7*z2 on degree 13", "exponents fill their fields", "arity 0",
+        "arity 0, constants", "arity 3"])
 def test_apply_D_matches_the_termwise_route(f, g):
-    arity = 1 if "z2" not in f + g else 2
+    arity = next((a for a in (3, 2) if f"z{a}" in f + g), 1 if "z1" in f + g else 0)
     f, g = parse(f, arity=arity), parse(g, arity=arity)
     assert apply_D(f, g) == _apply_D_termwise(f, g)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hesnil import GaussianRational, Poly, exp_truncated, format_poly, gr, parse
 from hesnil import partial
-from hesnil.poly import _Packed, _poly_dot
+from hesnil.poly import MAX_POWER_TERMS, _Packed, _poly_dot
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -121,6 +121,23 @@ def test_parse_rejects_bad_input():
         parse("u2", arity=3)
     with pytest.raises(ValueError):
         parse("z1 + ")
+
+
+def test_parse_bounds_the_terms_of_a_power():
+    # (z1 + z2 + z3)^2000 could have C(2002, 2) terms: refused before any product
+    with pytest.raises(ValueError, match="3-term base to the power 2000"):
+        parse("(z1+z2+z3)^2000")
+    with pytest.raises(ValueError, match="2-term base"):
+        parse(f"(z1 + z2)^{MAX_POWER_TERMS}")
+    # the largest power of a 4-term base within the bound has exactly that many terms
+    e = max(e for e in range(100) if math.comb(e + 3, 3) <= MAX_POWER_TERMS)
+    assert len(parse(f"(z1 + z2 + z3 + z4)^{e}").terms) == math.comb(e + 3, 3)
+    with pytest.raises(ValueError):
+        parse(f"(z1 + z2 + z3 + z4)^{e + 1}")
+    # a monomial or zero base has at most one term at every exponent
+    assert parse("z1^2000") == Poly(1, {(2000,): 1})
+    assert parse("(2*z1*z2)^2000") == Poly(2, {(2000, 2000): 2 ** 2000})
+    assert parse("0^2000") == Poly.zero(0)
 
 
 def test_parse_handles_unicode_minus_and_whitespace():

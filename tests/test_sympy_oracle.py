@@ -1,11 +1,12 @@
 """Differential oracle: Poly kernels against sympy's exact Q(i) arithmetic.
 
 Every operation is recomputed by sympy over its QQ_I domain on small
-random inputs (arity <= 3, <= 5 terms, degree <= 4) and compared
-coefficient for coefficient.  Fixed cases aim at the integer-numerator
-kernel's edges: arity 0 and 1, exponent sums that cross a packed-field
-width, cancellation, and coprime denominators; products are also compared
-with a termwise GaussianRational reference.  Matrix products, one fused dot
+random inputs (arity <= 3, or <= 4 for Hessians, Jacobians and gradient
+pairings; <= 5 terms, degree <= 4) and compared coefficient for
+coefficient.  Fixed cases aim at the integer-numerator kernel's edges:
+arity 0 and 1, exponent sums that cross a packed-field width,
+cancellation, and coprime denominators; products are also compared with a
+termwise GaussianRational reference.  Matrix products, one fused dot
 per entry, are checked entry by entry, with mixed denominators.
 """
 
@@ -17,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 sp = pytest.importorskip("sympy")
 
 from hesnil import (  # noqa: E402
-    GaussianRational, Poly, PolyMatrix, apply_D, laplacian, partial, partial_multi)
+    GaussianRational, Poly, PolyMatrix, PolyVector, apply_D, grad_pair, hessian, jacobian,
+    laplacian, partial, partial_multi)
 from hesnil.diffops import cofactor_det  # noqa: E402
 
 QQ_I = sp.QQ_I
@@ -98,6 +100,53 @@ def test_partial_multi(case):
     p, orders = case
     xs = symbols("x", p.arity)
     assert to_sympy(partial_multi(p, orders)) == to_sympy(p).diff(*zip(xs, orders))
+
+
+# -- first and second partials from one packed form, arity 1-4 ------------------
+
+
+def sparse_polys(arity):
+    """At most 5 terms of degree <= 4, each monomial a multiset of variables."""
+    monos = st.lists(st.integers(0, arity - 1), max_size=4).map(
+        lambda vs: tuple(vs.count(i) for i in range(arity)))
+    return st.dictionaries(monos, scalars, max_size=5).map(lambda t: Poly(arity, t))
+
+
+up_to_four = st.integers(1, 4)
+
+
+@ORACLE
+@given(up_to_four.flatmap(sparse_polys))
+def test_hessian(p):
+    xs = symbols("x", p.arity)
+    sp_p = to_sympy(p)
+    got = hessian(p)
+    assert [[to_sympy(h) for h in r] for r in got.rows] == [
+        [sp_p.diff(x).diff(y) for y in xs] for x in xs]
+    assert all(canonical(h) for r in got.rows for h in r)
+
+
+@ORACLE
+@given(up_to_four.flatmap(lambda n: st.lists(sparse_polys(n), min_size=1, max_size=4)))
+def test_jacobian(entries):
+    xs = symbols("x", entries[0].arity)
+    got = jacobian(PolyVector(entries))
+    assert [[to_sympy(h) for h in r] for r in got.rows] == [
+        [to_sympy(p).diff(x) for x in xs] for p in entries]
+    assert all(canonical(h) for r in got.rows for h in r)
+
+
+@ORACLE
+@given(up_to_four.flatmap(lambda n: st.tuples(sparse_polys(n), sparse_polys(n))))
+def test_grad_pair(pair):
+    a, b = pair
+    xs = symbols("x", a.arity)
+    sa, sb = to_sympy(a), to_sympy(b)
+    expected = sp.Poly(0, *xs, domain=QQ_I)
+    for x in xs:
+        expected += sa.diff(x) * sb.diff(x)
+    got = grad_pair(a, b)
+    assert to_sympy(got) == expected and canonical(got)
 
 
 @ORACLE
