@@ -10,7 +10,7 @@ each input is packed once and each output entry reduced once.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple
 
 from .gaussrat import GaussianRational, ScalarLike
 from .poly import Poly, _Packed, _poly_dot
@@ -49,29 +49,26 @@ def laplacian_iter(p: Poly, k: int) -> Poly:
     return p
 
 
-def laplacian_powers_table(p: Poly, top: Union[int, Sequence[int]],
-                           offsets: Sequence[int]) -> List[List[Poly]]:
-    """rows[j][m] = Delta^m P^{m + offsets[j]} for m = 0..top, or 0..top[j] per row.
+def laplacian_powers_table(p: Poly, top: int, offsets: Sequence[int]) -> List[List[Poly]]:
+    """rows[j][m] = Delta^m P^{m + offsets[j]} for m = 0..top.
 
     The powers of P are formed in turn, each once, and each is dropped as
     soon as every row that reads it has its entry.  Each power's Laplacians
     are iterated on integers; only the entries the rows read are reduced.
     """
-    spans = [(k, top if isinstance(top, int) else top[j]) for j, k in enumerate(offsets)]
     rows: List[List[Poly]] = [[] for _ in offsets]
     power = Poly.one(p.arity)
-    for i in range(max(k + t for k, t in spans) + 1):
+    for i in range(max(offsets) + top + 1):
         if i:
             power = p if i == 1 else power * p
-        wanted = sorted({i - k for k, t in spans if 0 <= i - k <= t})
-        form, depth, images = _Packed.of(power, power.degree()), 0, {}
-        for m in wanted:
+        form, depth = _Packed.of(power, power.degree()), 0
+        for m in sorted({i - k for k in offsets if 0 <= i - k <= top}):
             while depth < m and form.terms:
                 form, depth = form.laplacian(), depth + 1
-            images[m] = form.poly()
-        for row, (k, t) in zip(rows, spans):
-            if 0 <= i - k <= t:
-                row.append(images[i - k])
+            image = form.poly()
+            for row, k in zip(rows, offsets):
+                if k == i - m:
+                    row.append(image)
     return rows
 
 
@@ -342,7 +339,7 @@ def leibniz_identity_check(p: Poly, m: int) -> Tuple[Poly, Poly]:
     """Both sides of Delta p^{m+1} = (m+1) p^m Delta p + m(m+1) p^{m-1} <grad p, grad p>."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    (p_m1,), (p_m, lhs) = laplacian_powers_table(p, (0, 1), (m - 1, m))
+    (p_m1, _), (p_m, lhs) = laplacian_powers_table(p, 1, (m - 1, m))
     rhs = _poly_dot(p.arity, [(p_m, laplacian(p)), (p_m1, grad_pair(p, p))],
                     [m + 1, m * (m + 1)])
     return lhs, rhs

@@ -462,6 +462,8 @@ def _exp_packed(p: Poly, s: ScalarLike, max_degree: int, top: int) -> _Packed:
 # power of a t-term base, exceeds this; (z1 + z2)^1999, at the bound, already has
 # coefficients near 2^1995 and takes seconds to expand
 MAX_POWER_TERMS = 2000
+# and a * b with more term pairs than this, as (z1+z2+z3+z4)^20 * (z5+z6+z7+z8)^20
+MAX_PRODUCT_PAIRS = 250_000
 
 _TOKEN = _re.compile(r"\s*(?:(\d+)|([zuv])(\d+)|(i)|([-+*^()/]))")
 
@@ -522,7 +524,11 @@ class _Parser:
         acc = self.parse_factor()
         while self.peek() == "*":
             self.take()
-            acc = acc * self.parse_factor()
+            rhs = self.parse_factor()
+            if len(acc.terms) * len(rhs.terms) > MAX_PRODUCT_PAIRS:
+                raise ValueError(f"a product of a {len(acc.terms)}-term and a {len(rhs.terms)}"
+                                 f"-term factor has more than {MAX_PRODUCT_PAIRS} term pairs")
+            acc = acc * rhs
         return acc
 
     def parse_factor(self) -> Poly:

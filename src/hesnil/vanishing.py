@@ -47,8 +47,8 @@ class ConfigError(ValueError):
 _PARAM_KEYS = {"w": {"count"}, "wtilde": {"counts"}, "ug": {"k"}, "pg": set(), "ph": set()}
 GENERATOR_KINDS = tuple(_PARAM_KEYS)
 
-# t_order defaults to bound + 2 only while that stays affordable
-AFFORDABLE_T_ORDER = 10
+# a report holds t_order flags per trial; the cutoff + 2 fits through n=12 at d=4
+MAX_T_ORDER = 100_000
 
 
 def alpha_bound(n: int, d: int) -> Fraction:
@@ -81,7 +81,8 @@ class ExperimentConfig:
         """Validate and normalize the JSON config schema.
 
         Required: n, d, generator{kind, params}, trials, seed.  t_order
-        defaults to max(4, ceil(bound) + 2), refused above AFFORDABLE_T_ORDER.
+        defaults to max(4, ceil(bound) + 2); derived or explicit, it must be
+        an integer in [1, MAX_T_ORDER].
         """
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
@@ -110,13 +111,10 @@ class ExperimentConfig:
             raise ConfigError("seed must be an integer")
         t_order = data.get("t_order")
         if t_order is None:
-            candidate = max(4, ceil(alpha_bound(n, d)) + 2)
-            if candidate > AFFORDABLE_T_ORDER:
-                raise ConfigError(
-                    "derived t_order exceeds the affordable default; set t_order explicitly")
-            t_order = candidate
-        if not _is_int(t_order) or t_order < 1:
-            raise ConfigError("t_order must be a positive integer")
+            t_order = max(4, ceil(alpha_bound(n, d)) + 2)
+        if not _is_int(t_order) or not 1 <= t_order <= MAX_T_ORDER:
+            raise ConfigError(f"t_order must be an integer in [1, MAX_T_ORDER = {MAX_T_ORDER}]; "
+                              f"it defaults to ceil(cutoff) + 2")
         fmt = data.get("format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
@@ -372,31 +370,29 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     big_m = cfg.t_order
     failures: List[str] = []
 
-    # the self-certifying recurrence gives the verdict and, for HN P, the later flags
+    # the self-certifying recurrence gives the verdict and the flags past the window
     try:
         hn, slots = _hn_slots(p, big_m + 1)
+        if not hn:
+            raise TheoremCheckError("generator produced a non-HN polynomial")
     except TheoremCheckError as exc:
         raise TheoremCheckError(f"{tag}, is_hn: {exc}") from exc
-    if not hn:
-        failures.append(f"{tag}, is_hn: generator produced a non-HN polynomial")
     # the isotropy, P(D) and cross-check steps read the window up to this m
-    window = _vanishing_flags(p, max(min(big_m, 4), 2) if hn else big_m)
+    window = _vanishing_flags(p, max(min(big_m, 4), 2))
     flags = [w.is_zero() for w in window[1:big_m + 1]]
-
-    if hn:
-        # for HN P, Q_[m+1] = Delta^m P^{m+1} / (2^m m! (m+1)!) (the closed form),
-        # so the recurrence must agree with the window on its values
-        flags += [slots[m].is_zero() for m in range(len(flags) + 1, big_m + 1)]
-        off = [m for m in range(min(big_m, 4) + 1) if slots[m] != window[m].scale(
-            Fraction(1, 2 ** m * factorial(m) * factorial(m + 1)))]
-        if off:
-            failures.append(f"{tag}, flag cross-check: the recurrence's Q_[m+1] differs "
-                            f"from Delta^m P^(m+1) / (2^m m! (m+1)!) at m = {off}")
+    flags += [slots[m].is_zero() for m in range(len(flags) + 1, big_m + 1)]
+    # for HN P, Q_[m+1] = Delta^m P^{m+1} / (2^m m! (m+1)!) (the closed form),
+    # so the recurrence must agree with the window on its values
+    off = [m for m in range(min(big_m, 4) + 1) if slots[m] != window[m].scale(
+        Fraction(1, 2 ** m * factorial(m) * factorial(m + 1)))]
+    if off:
+        failures.append(f"{tag}, flag cross-check: the recurrence's Q_[m+1] differs "
+                        f"from Delta^m P^(m+1) / (2^m m! (m+1)!) at m = {off}")
 
     degree_t = max((m for m, zero in enumerate(flags, 1) if not zero), default=0)
     d_actual = p.is_homogeneous()
     isotropy: Optional[Dict[str, Optional[bool]]] = None
-    if hn and d_actual is not None and d_actual >= 2:
+    if d_actual is not None and d_actual >= 2:
         pd_ok = _pd_pass(p, d_actual, window, min(big_m, 4))
         if d_actual >= 3:
             ideal = _annihilated(_ideal_ops(p), window[:min(big_m, 3) + 1])

@@ -112,6 +112,16 @@ def test_unreadable_input_and_negative_z_degree_exit_1(tmp_path):
         assert "Q_[1]" not in result.stdout
 
 
+def test_oversized_product_exits_1_before_multiplying(tmp_path):
+    # each power has 1771 terms, within MAX_POWER_TERMS; their product is refused
+    poly_file = write(tmp_path / "big.txt", "(z1+z2+z3+z4)^20*(z5+z6+z7+z8)^20")
+    result = CliRunner().invoke(main, ["check-hn", poly_file])
+    assert result.exit_code == 1
+    assert ("Error: a product of a 1771-term and a 1771-term factor has more than "
+            "250000 term pairs") in result.stderr
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_oversized_power_exits_1_before_expanding(tmp_path):
     runner = CliRunner()
     poly_file = write(tmp_path / "big.txt", "(z1+z2+z3)^2000")
@@ -176,13 +186,13 @@ def test_failure_tag_rebuilds_the_member(monkeypatch, kind, n, d, params):
         built.append(member[0])
         return member
 
-    # a planted non-HN verdict makes the trial report a failure, with its tag
+    # a planted non-HN verdict stops the trial with a theorem-level error and its tag
     monkeypatch.setattr(hesnil.vanishing, "build_member", recording)
     monkeypatch.setattr(hesnil.vanishing, "_hn_slots", lambda p, t_order: (False, [p]))
-    _, failures = hesnil.vanishing.run_trial(cfg, 1)
-    assert len(failures) == 1
-    tag = TAG.search(failures[0])
-    assert tag is not None, failures[0]
+    with pytest.raises(TheoremCheckError) as raised:
+        hesnil.vanishing.run_trial(cfg, 1)
+    tag = TAG.search(str(raised.value))
+    assert tag is not None, str(raised.value)
     index, tag_kind, tag_n, tag_d, tag_params, seed = tag.groups()
     assert (index, tag_kind, json.loads(tag_params)) == ("1", kind, params)
     result = CliRunner().invoke(main, ["generate", "--kind", tag_kind, "--n", tag_n, "--d", tag_d,

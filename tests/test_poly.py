@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from hesnil import GaussianRational, Poly, exp_truncated, format_poly, gr, parse
 from hesnil import partial
-from hesnil.poly import MAX_POWER_TERMS, _Packed, _poly_dot
+import hesnil.poly
+from hesnil.poly import MAX_POWER_TERMS, MAX_PRODUCT_PAIRS, _Packed, _poly_dot
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -138,6 +139,21 @@ def test_parse_bounds_the_terms_of_a_power():
     assert parse("z1^2000") == Poly(1, {(2000,): 1})
     assert parse("(2*z1*z2)^2000") == Poly(2, {(2000, 2000): 2 ** 2000})
     assert parse("0^2000") == Poly.zero(0)
+
+
+def test_parse_bounds_the_term_pairs_of_a_product(monkeypatch):
+    # two powers within MAX_POWER_TERMS, 1771 terms each: refused before the product
+    assert 1771 * 1771 > MAX_PRODUCT_PAIRS
+    with pytest.raises(ValueError, match="1771-term and a 1771-term factor"):
+        parse("(z1+z2+z3+z4)^20*(z5+z6+z7+z8)^20")
+    # at the bound a product is taken; each step of a chain is bounded on its own
+    monkeypatch.setattr(hesnil.poly, "MAX_PRODUCT_PAIRS", 12)
+    assert len(parse("(z1+z2+z3)*(z4+z5+z6+z7)").terms) == 12
+    assert len(parse("(z1+z2+z3)*(z4+z5+z6+z7)*5*z8").terms) == 12
+    with pytest.raises(ValueError, match="12-term and a 2-term factor"):
+        parse("(z1+z2+z3)*(z4+z5+z6+z7)*(z8+z9)")
+    with pytest.raises(ValueError, match="a 5-term and a 3-term factor"):
+        parse("(z1+z2+z3+z4+z5)*(z6+z7+z8)")
 
 
 def test_parse_handles_unicode_minus_and_whitespace():

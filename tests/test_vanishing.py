@@ -5,16 +5,19 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
 import hesnil.inversion
 import hesnil.vanishing
 from hesnil.diffops import laplacian_powers_table
+from hesnil.vanishing import MAX_T_ORDER
 from hesnil import (
     ConfigError,
     ExperimentConfig,
     Poly,
+    TheoremCheckError,
     VanishingReport,
     alpha_bound,
     build_member,
@@ -118,10 +121,19 @@ def test_config_validation_errors():
     reject({"n": 2, "generator": {"kind": "ph"}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict([])
-    # derived t_order would be 14; force an explicit choice instead
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(
-            {"n": 4, "d": 4, "generator": {"kind": "w"}, "trials": 1, "seed": 0})
+    # t_order defaults to the paper's cutoff + 2, at least 4, up to MAX_T_ORDER
+    for n, d, derived in ((4, 4, 14), (6, 3, 32), (8, 4, 1094), (10, 3, 512), (10, 4, 9842),
+                          (4, 2, 4)):
+        cfg = ExperimentConfig.from_dict(
+            {"n": n, "d": d, "generator": {"kind": "ph"}, "trials": 1, "seed": 0})
+        assert cfg.t_order == derived == max(4, ceil(alpha_bound(n, d)) + 2)
+    # (14, 4) derives 797162; (10000, 4) 4771 digits, past Python's int-to-str limit
+    for n in (14, 10_000):
+        with pytest.raises(ConfigError, match=f"MAX_T_ORDER = {MAX_T_ORDER}\\]; it defaults"):
+            ExperimentConfig.from_dict(
+                {"n": n, "d": 4, "generator": {"kind": "ph"}, "trials": 1, "seed": 0})
+    reject({"t_order": MAX_T_ORDER + 1})
+    assert ExperimentConfig.from_dict({**BASE, "t_order": MAX_T_ORDER}).t_order == MAX_T_ORDER
 
 
 def test_build_member_errors():
@@ -365,14 +377,15 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
     assert product_degrees and max(product_degrees) <= cfg.d * (max(min(cfg.t_order, 4), 2) + 1)
     assert len(squares) == 1
 
-    # a non-HN verdict reads the whole window off one chain, up to P^{M+1}
+    # a non-HN verdict can only be a generator bug: the trial stops, tagged, before
+    # forming any power of P
     monkeypatch.setattr(hesnil.vanishing, "_hn_slots", lambda q, t_order: (False, [q]))
     product_degrees.clear()
-    squares.clear()
-    report, failures = hesnil.vanishing.run_trial(cfg, 0)
-    assert len(failures) == 1 and not report.hn_verdict
-    assert max(product_degrees) == cfg.d * (cfg.t_order + 1)
-    assert len(squares) == 1
+    with pytest.raises(TheoremCheckError,
+                       match=r"^trial 0 \(.*trial_seed \d+\), is_hn: generator produced a "
+                             r"non-HN polynomial$"):
+        hesnil.vanishing.run_trial(cfg, 0)
+    assert product_degrees == []
 
 
 @pytest.mark.parametrize("big_m", [2, 6])
