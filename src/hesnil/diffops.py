@@ -61,8 +61,11 @@ def laplacian_powers_table(p: Poly, top: int, offsets: Sequence[int]) -> List[Li
     for i in range(max(offsets) + top + 1):
         if i:
             power = p if i == 1 else power * p
+        ms = sorted({i - k for k in offsets if 0 <= i - k <= top})
+        if not ms:
+            continue  # no row reads this power: it only feeds the next product
         form, depth = _Packed.of(power, power.degree()), 0
-        for m in sorted({i - k for k in offsets if 0 <= i - k <= top}):
+        for m in ms:
             while depth < m and form.terms:
                 form, depth = form.laplacian(), depth + 1
             image = form.poly()

@@ -26,8 +26,8 @@ from typing import List, Optional, Tuple
 from .diffops import PolyVector, laplacian, laplacian_powers_table
 from .gaussrat import GaussianRational, ScalarLike
 from .nilpotency import CriterionMismatchError, TheoremCheckError, trace_powers
-from .poly import Poly, _Packed, _exp_packed, _poly_dot, format_poly
-from .tgraded import TGraded, _compose_packed, _exp_slots, _slot, exp_tgraded
+from .poly import Poly, _Packed, _compose_packed, _exp_packed, _poly_dot, _slot, format_poly
+from .tgraded import TGraded, _exp_slots, exp_tgraded
 
 
 class OrderViolationError(ValueError):
@@ -90,10 +90,7 @@ def invert_general(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deform
         for k in range(1, m // 2 + 1):
             pairs += zip(grads[k - 1], grads[m - k - 1])
             weights += [1 if 2 * k == m else 2] * n
-        acc = _Packed.dot(pairs, weights)
-        acc.den *= 2 * (m - 1)
-        if z_cap is not None:
-            acc = acc.truncate(z_cap)
+        acc = _slot(acc, pairs, weights, 2 * (m - 1), z_cap)
         slots.append(acc.poly())
         last = last if not acc.terms else m
     return _pair(p, slots, z_cap, "general")
@@ -123,10 +120,8 @@ def _hn_slots(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Tuple[bool,
             # the k = l pair once, the k < l pairs twice; the sum kept 2 degrees past slot m
             ks = range(1, m // 2 + 1)
             cap = None if z_cap is None or m <= n else z_cap + 2 * (total + 1 - m)
-            acc = _Packed.dot([(forms[k - 1], forms[m - k - 1]) for k in ks],
-                              [1 if 2 * k == m else 2 for k in ks])
-            forms.append(acc.truncate(cap).laplacian())
-            forms[-1].den *= 4 * (m - 1)
+            forms.append(_slot(forms[0], [(forms[k - 1], forms[m - k - 1]) for k in ks],
+                               [1 if 2 * k == m else 2 for k in ks], 4 * (m - 1), cap).laplacian())
         last, lap = m if forms[-1].terms else last, forms[-1].laplacian()
         if m <= n and (lap.terms or not traces[m - 1].is_zero()):
             if lap.poly() != traces[m - 1]:

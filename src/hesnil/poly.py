@@ -11,7 +11,8 @@ common denominator, the lcm of its own, and its monomials one int key each.
 Products, Laplacians, partials and f(D) work on those ints, a chain of them
 (matrix powers, the recurrences, truncated exp series, series compositions and
 exponentials, the inversion checks' residuals) stays packed, and each output
-coefficient is reduced once, when a Poly is made from the form.
+coefficient is reduced once, when a Poly is made from the form.  Every substitution
+(compose_poly, the inversion checks, substitute_linear, evaluate) runs on _compose_packed.
 
 Two variable naming styles are understood by the text grammar:
 
@@ -28,7 +29,7 @@ import math
 import re as _re
 from fractions import Fraction
 from operator import lshift
-from typing import Callable, Collection, Mapping, Optional, Sequence, Union
+from typing import Collection, List, Mapping, Optional, Sequence, Union
 
 from .gaussrat import GaussianRational, ScalarLike
 
@@ -148,18 +149,7 @@ class Poly:
         return Poly._raw(self.arity, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Union["Poly", ScalarLike]) -> "Poly":
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.arity, other)
-        self._check_arity(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = out.get(mono)
-            c = -coeff if c is None else c - coeff
-            if c:
-                out[mono] = c
-            else:
-                del out[mono]
-        return Poly._raw(self.arity, out)
+        return self + (-other if isinstance(other, Poly) else -GaussianRational.coerce(other))
 
     def __rsub__(self, other: ScalarLike) -> "Poly":
         return Poly.constant(self.arity, other) - self
@@ -185,9 +175,7 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Poly.one(self.arity)
-        base = self
-        k = exponent
+        result, base, k = Poly.one(self.arity), self, exponent
         while k:
             if k & 1:
                 result = result * base
@@ -209,10 +197,11 @@ class Poly:
     # -- evaluation and substitution --------------------------------------
 
     def evaluate(self, point: Sequence[ScalarLike]) -> GaussianRational:
+        """The value at point: a composition with arity-0 constants."""
         if len(point) != self.arity:
             raise ValueError(f"point has {len(point)} coordinates, need {self.arity}")
-        vals = [GaussianRational.coerce(v) for v in point]
-        return substitute(self, vals, lambda c: c, GaussianRational(0))
+        like = _Packed.of(Poly.one(0), 0)
+        return _compose(self, [[like.constant(v)] for v in point], like)[0].constant_term()
 
     def truncate(self, max_degree: int) -> "Poly":
         """Drop every term of total degree greater than max_degree."""
@@ -245,17 +234,12 @@ class Poly:
         new_arity = widths.pop() if widths else 0
         if shift is not None and len(shift) != self.arity:
             raise ValueError(f"shift needs {self.arity} entries, got {len(shift)}")
-        images = []
-        for j in range(self.arity):
-            img = Poly(new_arity, {
-                tuple(1 if k == t else 0 for k in range(new_arity)): matrix[j][t]
-                for t in range(new_arity)
-            })
-            if shift is not None:
-                img = img + Poly.constant(new_arity, shift[j])
-            images.append(img)
-        return substitute(self, images, lambda c: Poly.constant(new_arity, c),
-                          Poly.zero(new_arity))
+        top = self.degree()  # affine images cannot raise the degree
+        like = _Packed.of(Poly.one(new_arity), top)
+        units = [tuple(1 if k == t else 0 for k in range(new_arity)) for t in range(new_arity)]
+        images = [Poly(new_arity, dict(zip(units, row))) + c
+                  for row, c in zip(matrix, shift or [0] * self.arity)]
+        return _compose(self, [[_Packed.of(img, top)] for img in images], like)[0]
 
     # -- display -----------------------------------------------------------
 
@@ -405,25 +389,66 @@ def _poly_dot(arity: int, pairs: Sequence[tuple], weights: Optional[Sequence[int
     return _Packed.dot([(_Packed.of(a, top), _Packed.of(b, top)) for a, b in pairs], weights).poly()
 
 
-def substitute(p: Poly, images: Sequence, lift: Callable, zero):
-    """sum of lift(c) * prod_j images[j]^e_j over the terms c z^e of p.
+def _slot(like: _Packed, pairs: list, weights: Optional[list] = None, den: int = 1,
+          cap: Optional[int] = None) -> _Packed:
+    """One slot: the dot of its pairs over den times their denominator, truncated at cap;
+    without pairs, zero at the arity and width of like."""
+    if not pairs:
+        return _Packed(like.arity, like.width, 1, [])
+    acc = _Packed.dot(pairs, weights)
+    acc.den *= den
+    return acc.truncate(cap)
 
-    Works in any ring whose elements support *, + and **; each power of an
-    image is formed once and shared by every term that uses it.
-    """
-    powers: list = [{} for _ in images]
-    total = zero
-    for mono, coeff in p.terms.items():
-        prod = lift(coeff)
-        for j, e in enumerate(mono):
-            if not e:
-                continue
-            cache = powers[j]
-            if e not in cache:
-                cache[e] = images[j] ** e
-            prod = prod * cache[e]
-        total = total + prod
-    return total
+
+def _slot_pairs(a: Sequence[_Packed], b: Sequence[_Packed], t: int) -> list:
+    """For each slot j < t of a * b, the pairs (a_i, b_(j-i)) with both nonzero; a and b
+    are packed slot lists, slots past their ends zero.  Each slot is one dot of its pairs."""
+    return [[(a[i], b[j - i]) for i in range(max(0, j + 1 - len(b)), min(j + 1, len(a)))
+             if a[i].terms and b[j - i].terms] for j in range(t)]
+
+
+def _compose_packed(polys: Sequence[_Packed], values: Sequence[Sequence[_Packed]],
+                    windows: Sequence[int], one: _Packed) -> List[List[list]]:
+    """Each packed polynomial (any width) composed, at its window, with the packed series
+    (slot lists at the width of one, zero past their ends): per slot the pairs of one dot.
+    Each power of a series is formed once from the next lower one, through the widest
+    window that reads it; each term's coefficient is folded into its first factor."""
+    plans, reach = [], {}  # reach[j]: (widest window, highest power) read of series j
+    for p, t in zip(polys, windows):
+        mask = (1 << p.width) - 1
+        terms = [([k >> s & mask for s in p.shifts], r, i) for k, r, i in p.terms]
+        for j, e in enumerate(map(max, zip(*(m for m, _, _ in terms)))):
+            if e:
+                w, high = reach.get(j, (0, 0))
+                reach[j] = (max(w, t), max(high, e))
+        plans.append((p.den, terms, t))
+
+    def mul(a: list, b: list, t: int) -> list:
+        return [_slot(one, ps) for ps in _slot_pairs(a, b, t)]
+
+    powers = {}
+    for j, (w, e) in reach.items():
+        powers[j] = [values[j][:w]]
+        while len(powers[j]) < e:
+            powers[j].append(mul(powers[j][-1], powers[j][0], w))
+    results = []
+    for den, terms, t in plans:
+        out: list = [[] for _ in range(t)]
+        for m, r, i in terms:
+            factors = [powers[j][e - 1] for j, e in enumerate(m) if e] or [[one]]
+            x = [_Packed(one.arity, one.width, den, [(0, r, i)])]
+            for f in factors[:-1]:
+                x = mul(x, f, t)
+            for acc, ps in zip(out, _slot_pairs(x, factors[-1], t)):
+                acc += ps
+        results.append(out)
+    return results
+
+
+def _compose(p: Poly, values: list, one: _Packed, t: int = 1, cap: Optional[int] = None) -> list:
+    """Slots 0..t-1 of p composed with the packed series, each truncated at cap and reduced."""
+    (out,) = _compose_packed([_Packed.of(p, p.degree())], values, [t], one)
+    return [_slot(one, ps, cap=cap).poly() for ps in out]
 
 
 # -- exponential truncation ------------------------------------------------
@@ -459,9 +484,11 @@ def _exp_packed(p: Poly, s: ScalarLike, max_degree: int, top: int) -> _Packed:
 # -- text grammar ------------------------------------------------------------
 
 # parse refuses base ^ e when C(e + t - 1, t - 1), which bounds the terms of the
-# power of a t-term base, exceeds this; (z1 + z2)^1999, at the bound, already has
-# coefficients near 2^1995 and takes seconds to expand
+# power of a t-term base, exceeds this
 MAX_POWER_TERMS = 2000
+# or when its estimated work, term pairs times coefficient bits, exceeds this: on a 2-core
+# host (z1 + z2)^999, just under it, expands in 0.15 s and (z1 + z2)^1999, 8 times over, in 1.1 s
+MAX_POWER_WORK = 2 * 10 ** 9
 # and a * b with more term pairs than this, as (z1+z2+z3+z4)^20 * (z5+z6+z7+z8)^20
 MAX_PRODUCT_PAIRS = 250_000
 
@@ -542,9 +569,16 @@ class _Parser:
             if kind != "int":
                 raise ValueError("exponent must be a nonnegative integer")
             t = len(base.terms)
-            if t > 1 and math.comb(value + t - 1, t - 1) > MAX_POWER_TERMS:
-                raise ValueError(f"a {t}-term base to the power {value} can have more than "
-                                 f"{MAX_POWER_TERMS} terms")
+            if t > 1:
+                terms, form = math.comb(value + t - 1, t - 1), _Packed.of(base, base.degree())
+                if terms > MAX_POWER_TERMS:
+                    raise ValueError(f"a {t}-term base to the power {value} can have more than "
+                                     f"{MAX_POWER_TERMS} terms")
+                # about terms^2 coefficient pairs, of about value * log2(t * height) bits each
+                height = t * form.den * max(max(abs(r), abs(i)) for _, r, i in form.terms)
+                if terms * terms * value * height.bit_length() > MAX_POWER_WORK:
+                    raise ValueError(f"a {t}-term base to the power {value} needs more than "
+                                     f"MAX_POWER_WORK = {MAX_POWER_WORK} term-pair bits of work")
             return base ** value
         return base
 
@@ -592,8 +626,7 @@ def parse(text: str, arity: Optional[int] = None) -> Poly:
         raise ValueError("cannot mix z-style and uv-style variable names")
     if letters & {"u", "v"}:
         if arity is None:
-            n = max_index
-            arity = 2 * n
+            n, arity = max_index, 2 * max_index
         else:
             if arity % 2 or arity < 2 * max_index:
                 raise ValueError(f"uv-style needs even arity >= {2 * max_index}")

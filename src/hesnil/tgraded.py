@@ -8,39 +8,22 @@ by one.
 
 z_trunc, when set, records that each coefficient has been truncated to
 that total z-degree.  None means coefficients are exact polynomials.
-Operations propagate the tighter of the two caps.
+Operations propagate the tighter of the two caps.  Products and compose_poly run
+on poly's packed slot dot and composition engine.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .gaussrat import ScalarLike
-from .poly import Poly, _Packed, _exp_packed
+from .poly import Poly, _Packed, _compose, _exp_packed, _slot, _slot_pairs
 
 
 def _min_cap(*caps: Optional[int]) -> Optional[int]:
     """The tightest of the z caps, None when no cap is set."""
     return min((c for c in caps if c is not None), default=None)
-
-
-def _slot(like: _Packed, pairs: list, weights: Optional[list] = None, den: int = 1,
-          cap: Optional[int] = None) -> _Packed:
-    """One slot: the dot of its pairs over den times their denominator, truncated at cap;
-    without pairs, zero at the arity and width of like."""
-    if not pairs:
-        return _Packed(like.arity, like.width, 1, [])
-    acc = _Packed.dot(pairs, weights)
-    acc.den *= den
-    return acc.truncate(cap)
-
-
-def _slot_pairs(a: Sequence[_Packed], b: Sequence[_Packed], t: int) -> list:
-    """For each slot j < t of a * b, the pairs (a_i, b_(j-i)) with both nonzero; a and b
-    are packed slot lists, slots past their ends zero.  Each slot is one dot of its pairs."""
-    return [[(a[i], b[j - i]) for i in range(max(0, j + 1 - len(b)), min(j + 1, len(a)))
-             if a[i].terms and b[j - i].terms] for j in range(t)]
 
 
 class TGraded:
@@ -182,47 +165,8 @@ def compose_poly(p: Poly, values: Sequence[TGraded], t_order: int,
     z = _min_cap(z_trunc, *(v.z_trunc for v in used))
     top = max(p.degree(), 1) * max([q.degree() for v in values for q in v.coeffs] + [0])
     one = _Packed.of(Poly.one(arity), top)
-    (out,) = _compose_packed([_Packed.of(p, p.degree())],
-                             [[_Packed.of(q, top) for q in v.coeffs] for v in values], [t], one)
-    return TGraded(arity, [_slot(one, ps, cap=z).poly() for ps in out], t, z)
-
-
-def _compose_packed(polys: Sequence[_Packed], values: Sequence[Sequence[_Packed]],
-                    windows: Sequence[int], one: _Packed) -> List[List[list]]:
-    """Each packed polynomial (any width) composed, at its window, with the packed series
-    (slot lists at the width of one, zero past their ends): per slot the pairs of one dot.
-    Each power of a series is formed once from the next lower one, through the widest
-    window that reads it; each term's coefficient is folded into its first factor."""
-    plans, reach = [], {}  # reach[j]: (widest window, highest power) read of series j
-    for p, t in zip(polys, windows):
-        mask = (1 << p.width) - 1
-        terms = [([k >> s & mask for s in p.shifts], r, i) for k, r, i in p.terms]
-        for j, e in enumerate(map(max, zip(*(m for m, _, _ in terms)))):
-            if e:
-                w, high = reach.get(j, (0, 0))
-                reach[j] = (max(w, t), max(high, e))
-        plans.append((p.den, terms, t))
-
-    def mul(a: list, b: list, t: int) -> list:
-        return [_slot(one, ps) for ps in _slot_pairs(a, b, t)]
-
-    powers = {}
-    for j, (w, e) in reach.items():
-        powers[j] = [values[j][:w]]
-        while len(powers[j]) < e:
-            powers[j].append(mul(powers[j][-1], powers[j][0], w))
-    results = []
-    for den, terms, t in plans:
-        out: list = [[] for _ in range(t)]
-        for m, r, i in terms:
-            factors = [powers[j][e - 1] for j, e in enumerate(m) if e] or [[one]]
-            x = [_Packed(one.arity, one.width, den, [(0, r, i)])]
-            for f in factors[:-1]:
-                x = mul(x, f, t)
-            for acc, ps in zip(out, _slot_pairs(x, factors[-1], t)):
-                acc += ps
-        results.append(out)
-    return results
+    return TGraded(arity, _compose(p, [[_Packed.of(q, top) for q in v.coeffs] for v in values],
+                                   one, t, z), t, z)
 
 
 def exp_tgraded(a: TGraded, z_trunc: Optional[int] = None) -> TGraded:

@@ -49,6 +49,8 @@ GENERATOR_KINDS = tuple(_PARAM_KEYS)
 
 # a report holds t_order flags per trial; the cutoff + 2 fits through n=12 at d=4
 MAX_T_ORDER = 100_000
+# a trial of the sparsest kind (w, count 1, d=3, t_order 4) takes 8.4 s at n = 64 on 2 cores
+MAX_N = 64
 
 
 def alpha_bound(n: int, d: int) -> Fraction:
@@ -182,6 +184,8 @@ def _member_params(n: int, d: int, kind: str, params: dict) -> dict:
     n and d are checked first."""
     if not _is_int(n) or n < 2:
         raise ConfigError("n must be an integer >= 2")
+    if n > MAX_N:
+        raise ConfigError(f"n must be at most MAX_N = {MAX_N}")
     if not _is_int(d) or d < 2:
         raise ConfigError("d must be an integer >= 2")
     if kind not in GENERATOR_KINDS:

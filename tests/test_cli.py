@@ -132,6 +132,15 @@ def test_oversized_power_exits_1_before_expanding(tmp_path):
         assert isinstance(result.exception, SystemExit)
 
 
+def test_costly_power_exits_1_before_expanding(tmp_path):
+    # 2000 terms, within MAX_POWER_TERMS, but coefficients near 2^1995: refused by its work
+    poly_file = write(tmp_path / "big.txt", "(z1+z2)^1999")
+    result = CliRunner().invoke(main, ["check-hn", poly_file])
+    assert result.exit_code == 1
+    assert "Error: a 2-term base to the power 1999 needs more than MAX_POWER_WORK" in result.stderr
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_invert_z_degree_caps(tmp_path):
     runner = CliRunner()
     poly_file = write(tmp_path / "p.txt", "z1^2*z2 + z2^3")
@@ -222,6 +231,14 @@ def test_generate_rejects_degrees_below_two(kind, d):
                                        "--seed", "1"])
     assert result.exit_code == 1
     assert "Error: d must be an integer >= 2" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_generate_refuses_n_past_max_n():
+    result = CliRunner().invoke(main, ["generate", "--kind", "w", "--n", "1000000", "--d", "3",
+                                       "--seed", "1"])
+    assert result.exit_code == 1
+    assert "Error: n must be at most MAX_N = 64" in result.output
     assert "Traceback" not in result.output
 
 

@@ -33,6 +33,7 @@ from hesnil import (
     is_hn,
 )
 from hesnil.diffops import laplacian_powers_table
+from hesnil.poly import _Packed
 from conftest import count_squares, random_order2_poly, random_poly
 
 
@@ -197,6 +198,18 @@ def test_leibniz_check_reads_one_chain_of_powers(monkeypatch):
     # P^2, P^3 and P^4 come from one chain, with no second P^{m-1}
     assert leibniz_identity_check(p, 3) == expected
     assert len(squares) == 1
+
+
+def test_leibniz_check_packs_only_the_powers_it_reads(monkeypatch):
+    p, _ = build_member(6, 3, "ph", {}, 502001506)
+    expected = leibniz_identity_check(p, 8)
+    packed, of = [], _Packed.of.__func__
+    monkeypatch.setattr(_Packed, "of", classmethod(
+        lambda cls, q, top: packed.append(q) or of(cls, q, top)))
+    assert leibniz_identity_check(p, 8) == expected
+    # the rows read P^7, P^8 and P^9; packing the unread P^0..P^6 as well made 33 calls
+    assert len(packed) == 26
+    assert Poly.one(p.arity) not in packed
 
 
 def test_laplacian_product_expansion():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hesnil import GaussianRational, Poly, exp_truncated, format_poly, gr, parse
 from hesnil import partial
 import hesnil.poly
-from hesnil.poly import MAX_POWER_TERMS, MAX_PRODUCT_PAIRS, _Packed, _poly_dot
+from hesnil.poly import MAX_POWER_TERMS, MAX_POWER_WORK, MAX_PRODUCT_PAIRS, _Packed, _poly_dot
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -63,6 +63,13 @@ def test_evaluate_at_point():
     assert p.evaluate([0, 1]) == gr(0, -1)
     with pytest.raises(ValueError):
         p.evaluate([1])
+    # zero, constants, and points with zero coordinates
+    assert Poly.zero(2).evaluate([1, 2]) == gr(0)
+    assert Poly.constant(2, gr(3, -1)).evaluate([5, 7]) == gr(3, -1)
+    assert Poly.constant(0, 4).evaluate([]) == gr(4)
+    q = parse("z1^2*z2 + 3*z2 - 2")
+    assert q.evaluate([0, 0]) == q.evaluate([5, 0]) == gr(-2)
+    assert q.evaluate([0, gr(0, 1)]) == gr(-2, 3)
 
 
 def test_truncate_and_graded_piece():
@@ -82,6 +89,18 @@ def test_substitute_linear_with_shift():
     p = parse("z1^2")
     q = p.substitute_linear([[1]], shift=[2])
     assert q == parse("z1^2 + 4*z1 + 4")
+
+
+def test_substitute_linear_zero_rows_and_small_targets():
+    p = parse("z1*z2 + z2^2 + z1")
+    # a zero row sends z1 to 0; with a shift, to a constant
+    assert p.substitute_linear([[0, 0], [1, 2]]) == parse("z1^2 + 4*z1*z2 + 4*z2^2")
+    assert p.substitute_linear([[0, 0], [1, 0]], shift=[3, 0]) == parse("z1^2 + 3*z1 + 3",
+                                                                        arity=2)
+    # onto arity 1, and onto arity 0, where only the shift is left
+    assert p.substitute_linear([[1], [gr(0, 1)]]) == parse("(-1 + i)*z1^2 + z1")
+    assert p.substitute_linear([[], []], shift=[2, 3]) == Poly.constant(0, 17)
+    assert Poly.zero(2).substitute_linear([[1], [1]], shift=[1, 1]) == Poly.zero(1)
 
 
 def test_substitute_linear_validates_shapes():
@@ -139,6 +158,28 @@ def test_parse_bounds_the_terms_of_a_power():
     assert parse("z1^2000") == Poly(1, {(2000,): 1})
     assert parse("(2*z1*z2)^2000") == Poly(2, {(2000, 2000): 2 ** 2000})
     assert parse("0^2000") == Poly.zero(0)
+
+
+@pytest.mark.parametrize("text, terms, bits", [
+    ("(z1+z2)^999", 1000, 999 * 2),
+    ("(z1+z2+z3)^61", 1953, 61 * 2),
+    ("(z1+z2+z3+z4)^20", 1771, 20 * 3),
+    ("(z1+z2)^1999", 2000, 1999 * 2),
+    # 2 * 123456789 has 28 bits
+    ("(123456789*z1+z2)^999", 1000, 999 * 28),
+    # the denominators count: 1/3 and 7/5 are 5/15 and 21/15, and 2 * 15 * 21 has 10 bits;
+    # 2 * 21 alone has 6, which would admit this power
+    ("(1/3*z1+7/5*z2)^640", 641, 640 * 10),
+])
+def test_parse_bounds_the_work_of_a_power(text, terms, bits):
+    # every power here is within MAX_POWER_TERMS; its work is terms^2 times coefficient bits
+    assert terms <= MAX_POWER_TERMS
+    if terms * terms * bits <= MAX_POWER_WORK:
+        assert len(parse(text).terms) == terms
+    else:
+        exponent = text.split("^")[1]
+        with pytest.raises(ValueError, match=f"power {exponent} needs more than MAX_POWER_WORK"):
+            parse(text)
 
 
 def test_parse_bounds_the_term_pairs_of_a_product(monkeypatch):

@@ -1,11 +1,11 @@
 """Truncated series in t with polynomial coefficients."""
 
 from fractions import Fraction
+from typing import Callable, Sequence
 
 import pytest
 
-from hesnil import Poly, TGraded, compose_poly, exp_tgraded, gr, parse
-from hesnil.poly import substitute
+from hesnil import Poly, TGraded, build_member, compose_poly, exp_tgraded, gr, parse
 from conftest import reference_exp
 
 
@@ -177,6 +177,27 @@ def test_empty_window_is_a_valid_series():
         assert (e.t_order, e.coeffs) == (0, [])
 
 
+def substitute(p: Poly, images: Sequence, lift: Callable, zero):
+    """sum of lift(c) * prod_j images[j]^e_j over the terms c z^e of p.
+
+    Works in any ring whose elements support *, + and **; each power of an
+    image is formed once and shared by every term that uses it.
+    """
+    powers: list = [{} for _ in images]
+    total = zero
+    for mono, coeff in p.terms.items():
+        prod = lift(coeff)
+        for j, e in enumerate(mono):
+            if not e:
+                continue
+            cache = powers[j]
+            if e not in cache:
+                cache[e] = images[j] ** e
+            prod = prod * cache[e]
+        total = total + prod
+    return total
+
+
 def reference_compose(p: Poly, values, t_order: int, z_trunc=None) -> TGraded:
     """compose_poly through the generic substitution loop: one series product per
     factor, each power of a value rebuilt by repeated products from one."""
@@ -240,6 +261,26 @@ def test_compose_arity_zero_and_mismatch():
         compose_poly(parse("z1*z2"), [COMPOSE_VALUES["a"], tg(["z1"], arity=3)], 2)
     with pytest.raises(ValueError):
         compose_poly(parse("z1*z2"), [COMPOSE_VALUES["a"]], 2)
+
+
+def test_substitute_linear_matches_the_generic_loop_on_a_light_cone_map():
+    # P^3 of the ph n=8, d=4 member at trial seed 1000004 in (z, w), z = u + iv and w = u - iv:
+    # u_j = (z_j + w_j) / 2 and v_j = i (w_j - z_j) / 2 take its 778 terms to 112
+    p, _ = build_member(8, 4, "ph", {}, 1000004)
+    cube, h = p * p * p, 4
+
+    def rows(a, b):  # variable j to a[0] x_j + a[1] x_(h+j), variable h + j likewise by b
+        return [[c[0] if k == j else c[1] if k == h + j else 0 for k in range(2 * h)]
+                for c in (a, b) for j in range(h)]
+
+    half = gr(Fraction(1, 2))
+    forward = rows((half, half), (gr(0, Fraction(-1, 2)), gr(0, Fraction(1, 2))))
+    light = cube.substitute_linear(forward)
+    assert (len(cube.terms), len(light.terms)) == (778, 112)
+    images = [Poly(2 * h, {tuple(int(k == t) for k in range(2 * h)): c for t, c in enumerate(r)})
+              for r in forward]
+    assert light == substitute(cube, images, lambda c: Poly.constant(2 * h, c), Poly.zero(2 * h))
+    assert light.substitute_linear(rows((1, gr(0, 1)), (1, gr(0, -1)))) == cube
 
 
 def test_compose_poly_keeps_each_polynomial_its_own_window_and_cap():

@@ -12,7 +12,7 @@ import pytest
 import hesnil.inversion
 import hesnil.vanishing
 from hesnil.diffops import laplacian_powers_table
-from hesnil.vanishing import MAX_T_ORDER
+from hesnil.vanishing import MAX_N, MAX_T_ORDER
 from hesnil import (
     ConfigError,
     ExperimentConfig,
@@ -127,11 +127,17 @@ def test_config_validation_errors():
         cfg = ExperimentConfig.from_dict(
             {"n": n, "d": d, "generator": {"kind": "ph"}, "trials": 1, "seed": 0})
         assert cfg.t_order == derived == max(4, ceil(alpha_bound(n, d)) + 2)
-    # (14, 4) derives 797162; (10000, 4) 4771 digits, past Python's int-to-str limit
-    for n in (14, 10_000):
-        with pytest.raises(ConfigError, match=f"MAX_T_ORDER = {MAX_T_ORDER}\\]; it defaults"):
+    # (14, 4) derives 797162; n = 10000 is past MAX_N, refused before any cutoff is formed
+    for n, message in ((14, f"MAX_T_ORDER = {MAX_T_ORDER}\\]; it defaults"),
+                       (10_000, f"n must be at most MAX_N = {MAX_N}")):
+        with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(
                 {"n": n, "d": 4, "generator": {"kind": "ph"}, "trials": 1, "seed": 0})
+    # with an explicit t_order nothing else bounds n: a member of arity 10^6 is refused
+    with pytest.raises(ConfigError, match=f"n must be at most MAX_N = {MAX_N}"):
+        ExperimentConfig.from_dict({**BASE, "n": 10 ** 6, "d": 4, "t_order": 4,
+                                    "generator": {"kind": "w", "params": {"count": 1}}})
+    assert ExperimentConfig.from_dict({**BASE, "n": MAX_N, "t_order": 4}).n == MAX_N
     reject({"t_order": MAX_T_ORDER + 1})
     assert ExperimentConfig.from_dict({**BASE, "t_order": MAX_T_ORDER}).t_order == MAX_T_ORDER
 
