@@ -10,7 +10,7 @@ each input is packed once and each output entry reduced once.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .gaussrat import GaussianRational, ScalarLike
 from .poly import Poly, _Packed, _poly_dot
@@ -49,8 +49,10 @@ def laplacian_iter(p: Poly, k: int) -> Poly:
     return p
 
 
-def laplacian_powers_table(p: Poly, top: int, offsets: Sequence[int]) -> List[List[Poly]]:
-    """rows[j][m] = Delta^m P^{m + offsets[j]} for m = 0..top.
+def laplacian_powers_table(p: Poly, top: int, offsets: Sequence[int],
+                           pairs: Optional[Sequence[tuple]] = None) -> List[List[Poly]]:
+    """rows[j][m] = Delta^m P^{m + offsets[j]} for m = 0..top, Delta given by the field
+    pairs of _Packed.laplacian (default the Laplacian of these coordinates).
 
     The powers of P are formed in turn, each once, and each is dropped as
     soon as every row that reads it has its entry.  Each power's Laplacians
@@ -67,7 +69,7 @@ def laplacian_powers_table(p: Poly, top: int, offsets: Sequence[int]) -> List[Li
         form, depth = _Packed.of(power, power.degree()), 0
         for m in ms:
             while depth < m and form.terms:
-                form, depth = form.laplacian(), depth + 1
+                form, depth = form.laplacian(pairs), depth + 1
             image = form.poly()
             for row, k in zip(rows, offsets):
                 if k == i - m:
@@ -240,20 +242,24 @@ class PolyMatrix:
         return result
 
     def trace_powers(self, k: int) -> List[Poly]:
-        """[Tr M^m for m = 1..k]; M^m stays on integers and Tr M^{m+1} is the
-        one dot sum_{i,t} (M^m)_it M_ti, so only the traces are reduced."""
+        """[Tr M^m for m = 1..k]; M^m stays on integers and Tr M^{m+1} is the one dot
+        sum_{i,t} (M^m)_it M_ti, so only the traces are reduced.  A symmetric M (a Hessian)
+        has symmetric powers: only cells i <= t are formed, weighed 2 off the diagonal."""
         if k < 1:
             return []
-        n = len(self.rows)
+        n, sym = len(self.rows), self.rows == [list(col) for col in zip(*self.rows)]
+        cells = [(i, t) for i in range(n) for t in range(i if sym else 0, n)]
         base = _packed(self.rows, k * _max_degree(self.rows))
         power = base
         traces = [self.trace()]
         for m in range(1, k):
-            traces.append(_Packed.dot([(power[i][t], base[t][i])
-                                       for i in range(n) for t in range(n)]).poly())
+            traces.append(_Packed.dot([(power[i][t], base[t][i]) for i, t in cells],
+                                      [1 + (sym and i != t) for i, t in cells]).poly())
             if m + 1 < k:
-                power = [[_Packed.dot([(row[t], base[t][j]) for t in range(n)])
-                          for j in range(n)] for row in power]
+                nxt = {(i, j): _Packed.dot([(power[i][t], base[t][j]) for t in range(n)])
+                       for i, j in cells}
+                power = [[nxt[min(i, j), max(i, j)] if sym else nxt[i, j] for j in range(n)]
+                         for i in range(n)]
         return traces
 
     def trace(self) -> Poly:

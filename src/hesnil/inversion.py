@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .diffops import PolyVector, laplacian, laplacian_powers_table
 from .gaussrat import GaussianRational, ScalarLike
-from .nilpotency import CriterionMismatchError, TheoremCheckError, trace_powers
+from .nilpotency import CriterionMismatchError, TheoremCheckError, _light_cone, trace_powers
 from .poly import Poly, _Packed, _compose_packed, _exp_packed, _poly_dot, _slot, format_poly
 from .tgraded import TGraded, _exp_slots, exp_tgraded
 
@@ -40,9 +40,7 @@ class HNRequiredError(ValueError):
 
 def _require_order2(p: Poly) -> None:
     if not p.is_zero() and p.order() < 2:
-        raise OrderViolationError(
-            f"inversion needs order >= 2, got order {p.order()}"
-        )
+        raise OrderViolationError(f"inversion needs order >= 2, got order {p.order()}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,8 @@ def invert_general(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deform
     return _pair(p, slots, z_cap, "general")
 
 
-def _hn_slots(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Tuple[bool, List[Poly]]:
+def _hn_slots(p: Poly, t_order: int, z_cap: Optional[int] = None,
+              values: bool = True) -> Tuple[bool, List[Poly]]:
     """Whether p is HN, and Q_[1..T], T = max(t_order, n, 1), by the Laplacian recurrence
 
     Q_[1] = P,   Q_[m] = 1/(4(m-1)) Delta sum_{k+l=m} Q_[k] Q_[l].
@@ -106,13 +105,16 @@ def _hn_slots(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Tuple[bool,
     Tr H^m: by Newton's identities P is HN iff Delta Q_[m] = 0 for m <= n; for non-HN
     p the slots stop at that m.  Raises unless both routes agree as polynomials there,
     or if a later slot is not harmonic.  With a z-degree cap, slot m > n is kept to
-    z_cap + 2(T - m), so each Laplacian leaves z_cap exact.
+    z_cap + 2(T - m), so each Laplacian leaves z_cap exact.  It runs in _light_cone's
+    coordinates, exact for every P; the traces stay in (u, v), and Delta Q_[m] is mapped
+    back to meet them, with the slots if values (else none are returned), in one go.
     """
     _require_order2(p)
     traces = trace_powers(p)  # Tr H^m for m <= n: the verdict's window
+    image, pairs, back = _light_cone(p)
     n, total = len(traces), max(t_order, len(traces), 1)
     # every product below has degree at most total (deg P - 2) + 4
-    forms, last = [_Packed.of(p, total * (p.degree() - 2) + 4)], 0
+    forms, last = [_Packed.of(image, total * (p.degree() - 2) + 4)], 0
     for m in range(1, total + 1):
         if m > 1:
             if m > max(2 * last, n):
@@ -121,16 +123,19 @@ def _hn_slots(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Tuple[bool,
             ks = range(1, m // 2 + 1)
             cap = None if z_cap is None or m <= n else z_cap + 2 * (total + 1 - m)
             forms.append(_slot(forms[0], [(forms[k - 1], forms[m - k - 1]) for k in ks],
-                               [1 if 2 * k == m else 2 for k in ks], 4 * (m - 1), cap).laplacian())
-        last, lap = m if forms[-1].terms else last, forms[-1].laplacian()
+                               [1 if 2 * k == m else 2 for k in ks], 4 * (m - 1), cap
+                               ).laplacian(pairs))
+        last, lap = m if forms[-1].terms else last, forms[-1].laplacian(pairs)
         if m <= n and (lap.terms or not traces[m - 1].is_zero()):
-            if lap.poly() != traces[m - 1]:
+            lap, *slots = back([f.poly() for f in [lap] + (forms if values else [])])
+            if lap != traces[m - 1]:
                 raise CriterionMismatchError(
                     f"Delta Q_[{m}] differs from Tr Hes(P)^{m} on {format_poly(p)!r}")
-            return False, [f.poly() for f in forms]
+            return False, slots
         if lap.terms:
             raise TheoremCheckError(f"Q_[{m}] is not harmonic past the verdict: {format_poly(p)!r}")
-    return True, [f.poly() for f in forms] + [Poly.zero(p.arity)] * (total - len(forms))
+    slots = back([f.poly() for f in (forms if values else [])])
+    return True, slots + [Poly.zero(p.arity)] * (total - len(forms)) if values else []
 
 
 def invert_hn(p: Poly, t_order: int, z_cap: Optional[int] = None) -> DeformedPair:
@@ -159,7 +164,7 @@ def _power_slots(p: Poly, k: int, t_order: int, who: str, error: Optional[str]) 
     on order < 2, then on non-HN input (before any power of P is formed), then
     with the caller's parameter error if there is one.
     """
-    if not _hn_slots(p, p.arity)[0]:
+    if not _hn_slots(p, p.arity, values=False)[0]:
         raise HNRequiredError(f"{who} needs Hessian-nilpotent input")
     if error is not None:
         raise ValueError(error)

@@ -200,8 +200,7 @@ class Poly:
         """The value at point: a composition with arity-0 constants."""
         if len(point) != self.arity:
             raise ValueError(f"point has {len(point)} coordinates, need {self.arity}")
-        like = _Packed.of(Poly.one(0), 0)
-        return _compose(self, [[like.constant(v)] for v in point], like)[0].constant_term()
+        return _substitute_linear([self], [[]] * self.arity, 0, point)[0].constant_term()
 
     def truncate(self, max_degree: int) -> "Poly":
         """Drop every term of total degree greater than max_degree."""
@@ -234,12 +233,7 @@ class Poly:
         new_arity = widths.pop() if widths else 0
         if shift is not None and len(shift) != self.arity:
             raise ValueError(f"shift needs {self.arity} entries, got {len(shift)}")
-        top = self.degree()  # affine images cannot raise the degree
-        like = _Packed.of(Poly.one(new_arity), top)
-        units = [tuple(1 if k == t else 0 for k in range(new_arity)) for t in range(new_arity)]
-        images = [Poly(new_arity, dict(zip(units, row))) + c
-                  for row, c in zip(matrix, shift or [0] * self.arity)]
-        return _compose(self, [[_Packed.of(img, top)] for img in images], like)[0]
+        return _substitute_linear([self], matrix, new_arity, shift)[0]
 
     # -- display -----------------------------------------------------------
 
@@ -359,17 +353,18 @@ class _Packed:
         return _Packed(self.arity, self.width, self.den, [
             t for t in self.terms if t[0] * ones >> head & mask <= max_degree])
 
-    def laplacian(self) -> "_Packed":
-        """sum_i d^2/dz_i^2: per variable with exponent e > 1, key - (2 << shift) times e(e-1)."""
-        mask = (1 << self.width) - 1
-        steps = [(s, 2 << s) for s in self.shifts]
+    def laplacian(self, pairs: Optional[Sequence[tuple]] = None) -> "_Packed":
+        """sum w d_a d_b over the (a, b, w) field pairs, by default Delta = [(i, i, 1)]: per
+        pair, key - (1 << shift_a) - (1 << shift_b) times w e_a e_b, or w e_a (e_a - 1) at a = b."""
+        mask, shifts = (1 << self.width) - 1, self.shifts
+        steps = [(shifts[a], shifts[b], (1 << shifts[a]) + (1 << shifts[b]), w, a == b)
+                 for a, b, w in pairs or [(i, i, 1) for i in range(self.arity)]]
         acc: dict = {}
         get = acc.get
         for key, re, im in self.terms:
-            for s, two in steps:
-                e = key >> s & mask
-                if e > 1:
-                    k, m = key - two, e * (e - 1)
+            for sa, sb, step, w, same in steps:
+                if (e := key >> sa & mask) > same and (f := (key >> sb & mask) - same):
+                    k, m = key - step, e * f * w
                     c = get(k)
                     if c is None:
                         acc[k] = [re * m, im * m]
@@ -445,10 +440,17 @@ def _compose_packed(polys: Sequence[_Packed], values: Sequence[Sequence[_Packed]
     return results
 
 
-def _compose(p: Poly, values: list, one: _Packed, t: int = 1, cap: Optional[int] = None) -> list:
-    """Slots 0..t-1 of p composed with the packed series, each truncated at cap and reduced."""
-    (out,) = _compose_packed([_Packed.of(p, p.degree())], values, [t], one)
-    return [_slot(one, ps, cap=cap).poly() for ps in out]
+def _substitute_linear(polys: Sequence[Poly], matrix: Sequence[Sequence[ScalarLike]],
+                       arity: int, shift: Optional[Sequence[ScalarLike]] = None) -> List[Poly]:
+    """Each polynomial under substitute_linear's affine images, of this arity, in one
+    composition: each power of an image is formed once for all of them."""
+    one = _Packed.of(Poly.one(arity), max(p.degree() for p in polys))  # images keep degrees
+    units = [tuple(1 if k == t else 0 for k in range(arity)) for t in range(arity)] + [(0,) * arity]
+    images = [[_Packed._encode(arity, one.width, [(m, c) for m, v in zip(units, [*row, s])
+                                                  if (c := GaussianRational.coerce(v))])]
+              for row, s in zip(matrix, shift or [0] * len(matrix))]
+    out = _compose_packed([_Packed.of(p, p.degree()) for p in polys], images, [1] * len(polys), one)
+    return [_slot(one, ps).poly() for (ps,) in out]
 
 
 # -- exponential truncation ------------------------------------------------

@@ -18,7 +18,7 @@ from itertools import zip_longest
 from typing import Callable, Optional, Sequence, Union
 
 from .gaussrat import ScalarLike
-from .poly import Poly, _Packed, _compose, _exp_packed, _slot, _slot_pairs
+from .poly import Poly, _Packed, _compose_packed, _exp_packed, _slot, _slot_pairs
 
 
 def _min_cap(*caps: Optional[int]) -> Optional[int]:
@@ -165,8 +165,9 @@ def compose_poly(p: Poly, values: Sequence[TGraded], t_order: int,
     z = _min_cap(z_trunc, *(v.z_trunc for v in used))
     top = max(p.degree(), 1) * max([q.degree() for v in values for q in v.coeffs] + [0])
     one = _Packed.of(Poly.one(arity), top)
-    return TGraded(arity, _compose(p, [[_Packed.of(q, top) for q in v.coeffs] for v in values],
-                                   one, t, z), t, z)
+    (out,) = _compose_packed([_Packed.of(p, p.degree())],
+                             [[_Packed.of(q, top) for q in v.coeffs] for v in values], [t], one)
+    return TGraded(arity, [_slot(one, ps, cap=z).poly() for ps in out], t, z)
 
 
 def exp_tgraded(a: TGraded, z_trunc: Optional[int] = None) -> TGraded:

@@ -51,6 +51,8 @@ GENERATOR_KINDS = tuple(_PARAM_KEYS)
 MAX_T_ORDER = 100_000
 # a trial of the sparsest kind (w, count 1, d=3, t_order 4) takes 8.4 s at n = 64 on 2 cores
 MAX_N = 64
+# and (w, count 1, n=2, t_order 4) 0.5 s at d = 128, 5.5 s at d = 256 and 33 s at d = 400
+MAX_D = 256
 
 
 def alpha_bound(n: int, d: int) -> Fraction:
@@ -188,6 +190,8 @@ def _member_params(n: int, d: int, kind: str, params: dict) -> dict:
         raise ConfigError(f"n must be at most MAX_N = {MAX_N}")
     if not _is_int(d) or d < 2:
         raise ConfigError("d must be an integer >= 2")
+    if d > MAX_D:
+        raise ConfigError(f"d must be at most MAX_D = {MAX_D}")
     if kind not in GENERATOR_KINDS:
         raise ConfigError(f"unknown generator kind: {kind!r}")
     if not isinstance(params, dict):

@@ -242,6 +242,19 @@ def test_generate_refuses_n_past_max_n():
     assert "Traceback" not in result.output
 
 
+def test_d_past_max_d_exits_1_before_building(tmp_path):
+    generate = ["generate", "--kind", "w", "--n", "4", "--d", "3000", "--params",
+                '{"count": 1}', "--seed", "1"]
+    config = {"n": 4, "d": 3000, "generator": {"kind": "w", "params": {"count": 1}},
+              "trials": 1, "seed": 1}
+    cfg_file = write(tmp_path / "cfg.json", json.dumps(config))
+    for args in (generate, ["vanishing", "--config", cfg_file]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert "Error: d must be at most MAX_D = 256" in result.output
+        assert "Traceback" not in result.output
+
+
 def test_vanishing_stdout_and_exit_zero(tmp_path):
     cfg_data = {"n": 4, "d": 3, "generator": {"kind": "ph"}, "trials": 2,
                 "seed": 7, "t_order": 4}

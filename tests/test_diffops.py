@@ -258,6 +258,10 @@ TRACE_MATRICES = {
     "hessian, coprime denominators": (hessian(
         parse("1/7*z1^3 + 1/11*i*z1*z2^2 + 1/13*z2*z3^2 + z1*z3")), False),
     "zero matrix": (PolyMatrix([[Poly.zero(2)] * 2] * 2), True),
+    # trace_powers forms only the cells i <= t of a symmetric matrix's powers
+    "hessian of a ph member": (hessian(build_member(6, 3, "ph", {}, 11)[0]), True),
+    "hessian of a random quartic": (hessian(parse("z1^4 + i*z1*z2*z3 - 1/2*z2^2*z4 + z3*z4^3")),
+                                    False),
     "1x1": (PolyMatrix([[parse("z1^2 + 1/3*z1*z2 + 1/5")]]), False),
 }
 
@@ -314,3 +318,16 @@ def test_jacobian_and_unit_determinant():
     coords = PolyVector([parse("z1", arity=2), parse("z2", arity=2)])
     f = coords - grad(p)
     assert jacobian_det(f) == Poly.one(2)
+
+
+def test_second_order_kernel_matches_partials():
+    # sum w d_a d_b over field pairs, a = b included, against two first partials each
+    rng = random.Random(91)
+    for n in (1, 2, 3, 5):
+        p = random_poly(rng, n, 5, terms=6)
+        pairs = [(rng.randrange(n), rng.randrange(n), rng.choice((1, 4, -3))) for _ in range(3)]
+        want = Poly.zero(n)
+        for a, b, w in pairs:
+            want = want + partial(partial(p, a), b).scale(w)
+        assert _Packed.of(p, p.degree()).laplacian(pairs).poly() == want
+        assert _Packed.of(p, p.degree()).laplacian().poly() == laplacian(p)

@@ -37,10 +37,12 @@ from hesnil import (
 )
 from hesnil import (
     DeformedPair, PolyVector, TGraded, build_member, compose_poly, grad_pair, laplacian, partial)
+import hesnil.nilpotency
 from hesnil.inversion import _hn_slots
-from hesnil.nilpotency import TheoremCheckError
+from hesnil.nilpotency import TheoremCheckError, _light_cone
 from conftest import (
-    build_hn_corpus, build_non_hn_corpus, count_squares, random_order2_poly, reference_exp)
+    build_hn_corpus, build_non_hn_corpus, count_squares, rand_coeff, random_order2_poly,
+    reference_exp)
 
 ALL_METHODS = (invert_general, invert_hn, invert_closed, pair_from_fixed_point)
 
@@ -296,6 +298,89 @@ def test_hn_slots_are_the_gradient_recurrences(kind, cap):
     assert hn and len(slots) == 9
     assert [q if cap is None else q.truncate(cap) for q in slots] == \
         list(invert_general(p, 9, cap).q.coeffs)
+
+
+def from_light_cone(q: Poly) -> Poly:
+    """q(u + i v, u - i v): fields j and h + j are z_j and zeta_j, a last odd field is kept."""
+    n, h, i = q.arity, q.arity // 2, gr(0, 1)
+    rows = [[int(r == k) for k in range(n)] for r in range(n)]
+    for j in range(h):
+        rows[j][j], rows[j][h + j], rows[h + j][j], rows[h + j][h + j] = 1, i, 1, -i
+    return q.substitute_linear(rows)
+
+
+@pytest.mark.parametrize("kind", ["pg", "ph"])
+@pytest.mark.parametrize("n, d", [(4, 3), (4, 4), (6, 3), (6, 4), (8, 3), (8, 4)])
+def test_light_cone_slots_are_the_gradient_recurrences_on_pg_and_ph(kind, n, d):
+    # both kinds are sparser in light-cone coordinates, so the recurrence runs there
+    for seed in (11, 17):
+        p, _ = build_member(n, d, kind, {}, seed)
+        assert len(_light_cone(p)[0].terms) < len(p.terms)
+        hn, slots = _hn_slots(p, n + 2)
+        assert hn and slots == list(invert_general(p, n + 2).q.coeffs)
+
+
+def _light_cone_input(rng, n, shape):
+    """A random P, built sparse in light-cone coordinates and mapped to (u, v); terms of
+    degree 2..3, not homogeneous.  "hn": F(z) + sum_j zeta_j G_j(z) with G strictly
+    triangular, HN because S Hes' = [[JG, 0], [*, JG^T]] for the swap S of z_j and zeta_j;
+    "harmonic": F(z) + G(zeta) (+ w z_1), harmonic and mostly not HN; "any": no pattern."""
+    h = n // 2
+    zs, zetas = list(range(h)), list(range(h, 2 * h))
+
+    def term(fields, degree):
+        e = [0] * n
+        for _ in range(degree):
+            e[rng.choice(fields)] += 1
+        return Poly(n, {tuple(e): rand_coeff(rng)})
+
+    parts = []
+    if shape == "hn":
+        parts += [term(zs, rng.randint(2, 3)) for _ in range(2)]
+        parts += [Poly.variable(h + j, n) * term(zs[j + 1:], rng.randint(1, 2))
+                  for j in range(h - 1) if rng.random() < 0.7]
+    elif shape == "harmonic":
+        parts += [term(zs, rng.randint(2, 3)), term(zetas, rng.randint(2, 3))]
+        if n % 2:
+            parts.append(Poly.variable(n - 1, n) * Poly.variable(0, n))
+    else:
+        parts += [term(list(range(n)), rng.randint(2, 3)) for _ in range(3)]
+    return from_light_cone(sum(parts, Poly.zero(n)))
+
+
+def test_light_cone_slots_match_the_uv_recurrence_on_random_inputs(monkeypatch):
+    rng, inputs = random.Random(4507), []
+    while len(inputs) < 48:
+        n = 3 + len(inputs) % 4
+        p = _light_cone_input(rng, n, ("hn", "harmonic", "any")[len(inputs) // 4 % 3])
+        if not p.is_zero() and len(_light_cone(p)[0].terms) < len(p.terms):
+            inputs.append(p)
+    assert {p.arity for p in inputs} == {3, 4, 5, 6}
+    light = [_hn_slots(p, 5, cap) for p in inputs for cap in (None, 5)]
+    # each shape gives both verdicts' routes: the HN ones run to slot 5 and past, the
+    # others stop at their first nonzero Delta Q_[m], mapped back to meet Tr Hes(P)^m
+    verdicts = [hn for hn, _ in light]
+    assert verdicts.count(True) >= 32 and verdicts.count(False) >= 24
+    assert {len(slots) for _, slots in light} >= {1, 2, 5, 6}
+    # the same recurrence on P itself, with Delta = sum_i d_i^2
+    monkeypatch.setattr(hesnil.inversion, "_light_cone",
+                        lambda p: (p, [(j, j, 1) for j in range(p.arity)], lambda polys: polys))
+    assert light == [_hn_slots(p, 5, cap) for p in inputs for cap in (None, 5)]
+
+
+def test_hn_slots_certify_the_light_cone_map(monkeypatch):
+    p, _ = build_member(6, 3, "ph", {}, 11)
+    mapped = hesnil.nilpotency._substitute_linear
+
+    def tampered(polys, *args):
+        out = mapped(polys, *args)
+        return [out[0] + Poly.variable(0, p.arity) ** 3] + out[1:]
+
+    monkeypatch.setattr(hesnil.nilpotency, "_substitute_linear", tampered)
+    for run in (lambda: _hn_slots(p, 8), lambda: _hn_slots(p, 8, values=False),
+                lambda: invert_closed(p, 3), lambda: is_hn(p)):
+        with pytest.raises(TheoremCheckError, match="is not its light-cone image's"):
+            run()
 
 
 def test_hn_only_inverters_refuse_a_harmonic_non_hn_input():

@@ -1,8 +1,15 @@
 """Nilpotency verdicts through the matrix route and the Laplacian route."""
 
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
+import pytest
+
+import hesnil
+import hesnil.nilpotency
 from hesnil import (
     Poly,
     PolyVector,
@@ -12,6 +19,8 @@ from hesnil import (
     ph_construction,
     trace_powers,
 )
+from hesnil.diffops import hessian, laplacian_powers_table
+from hesnil.nilpotency import TheoremCheckError, _light_cone
 from conftest import random_poly, random_triangular_map
 
 
@@ -120,3 +129,50 @@ def test_prefix_biconditional_on_small_corpus():
             u_side = all(t.is_zero() for t in traces[:k])
             v_side = all(v.is_zero() for v in laps[:k])
             assert u_side == v_side
+
+
+def _hn_screen_corpus():
+    """The benchmark's hn_screen members at seed 1: HN constructions and random non-HN
+    polynomials of arity 3-5."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(workloads)
+        seeds = workloads.hn_screen_seeds(hesnil, 1)
+        return [item.poly for item in workloads.hn_screen_build(hesnil, seeds, 1)]
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_is_hn_matches_the_uv_routes_on_the_hn_screen_corpus():
+    members, sparser = _hn_screen_corpus(), 0
+    for p in members:
+        report, n = is_hn(p), p.arity
+        sparser += len(_light_cone(p)[0].terms) < len(p.terms)
+        # the Laplacians against the (u, v) table, the traces against naive matrix powers
+        assert report.laplacians == laplacian_powers_table(p, n, (0,))[0][1:]
+        assert report.traces == [(hessian(p) ** m).trace() for m in range(1, n + 1)]
+        verdict = all(v.is_zero() for v in report.laplacians)
+        assert report.is_hn == report.verdict_laplacian == report.verdict_matrix == verdict
+    assert sparser >= 5 and len(members) == 24
+
+
+
+def test_laplacian_powers_map_nonzero_entries_back():
+    # z1^2 zeta2 + zeta1^3 + z1 zeta1 z2 is not HN, and sparser in light-cone coordinates
+    p = parse("(u1+i*v1)^2*(u2-i*v2) + (u1-i*v1)^3 + (u1^2+v1^2)*(u2+i*v2)")
+    assert len(_light_cone(p)[0].terms) < len(p.terms)
+    laps = laplacian_powers(p)
+    assert laps == laplacian_powers_table(p, 4, (0,))[0][1:]
+    assert not any(v.is_zero() for v in laps[:2]) and not is_hn(p).is_hn
+
+def test_is_hn_certifies_the_light_cone_map(monkeypatch):
+    p = parse("(u1+i*v1)^3*(u2+i*v2) + v1*(u2+i*v2)^2")
+    assert len(_light_cone(p)[0].terms) < len(p.terms)
+    mapped = hesnil.nilpotency._substitute_linear
+    monkeypatch.setattr(hesnil.nilpotency, "_substitute_linear",
+                        lambda polys, *args: [q.scale(2) for q in mapped(polys, *args)])
+    with pytest.raises(TheoremCheckError, match="is not its light-cone image's"):
+        is_hn(p)

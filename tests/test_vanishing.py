@@ -12,7 +12,7 @@ import pytest
 import hesnil.inversion
 import hesnil.vanishing
 from hesnil.diffops import laplacian_powers_table
-from hesnil.vanishing import MAX_N, MAX_T_ORDER
+from hesnil.vanishing import MAX_D, MAX_N, MAX_T_ORDER
 from hesnil import (
     ConfigError,
     ExperimentConfig,
@@ -140,6 +140,16 @@ def test_config_validation_errors():
     assert ExperimentConfig.from_dict({**BASE, "n": MAX_N, "t_order": 4}).n == MAX_N
     reject({"t_order": MAX_T_ORDER + 1})
     assert ExperimentConfig.from_dict({**BASE, "t_order": MAX_T_ORDER}).t_order == MAX_T_ORDER
+
+
+def test_config_refuses_d_past_max_d():
+    # refused before alpha_bound forms (d - 1)^(n - 1), with or without a t_order
+    w = {"n": MAX_N, "generator": {"kind": "w", "params": {"count": 1}}, "trials": 1, "seed": 1}
+    for t_order in ({}, {"t_order": 4}):
+        for d in (MAX_D + 1, 10 ** 6):
+            with pytest.raises(ConfigError, match=f"^d must be at most MAX_D = {MAX_D}$"):
+                ExperimentConfig.from_dict({**w, "d": d, **t_order})
+    assert ExperimentConfig.from_dict({**BASE, "d": MAX_D}).d == MAX_D
 
 
 def test_build_member_errors():
