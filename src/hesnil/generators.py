@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .gaussrat import GaussianRational, ScalarLike, gr
-from .poly import Poly, _poly_dot
+from .poly import Poly, _poly_dot, _substitute_linear
 from .diffops import PolyMatrix, PolyVector, cofactor_det, jacobian
-from .nilpotency import TheoremCheckError, is_hn, trace_powers
+from .nilpotency import TheoremCheckError, _plane_map, is_hn, trace_powers
 
 # the class by name: typing caches subscriptions by argument, so a class
 # object here would keep every re-imported gaussrat module alive
@@ -164,17 +164,6 @@ def ug_construction(g: Poly, betas: Union[IsotropicSet, Sequence[VectorLike]]) -
     return g.substitute_linear(matrix)
 
 
-def _doubling_matrix(n: int) -> List[List[GaussianRational]]:
-    """Rows of the substitution z_j -> u_j + i v_j into 2n variables."""
-    matrix = []
-    for j in range(n):
-        row = [GaussianRational(0)] * (2 * n)
-        row[j] = GaussianRational(1)
-        row[n + j] = gr(0, 1)
-        matrix.append(row)
-    return matrix
-
-
 def pg_construction(g: Poly) -> Poly:
     """Double the variables: z_j of g becomes u_j + i v_j.
 
@@ -183,7 +172,7 @@ def pg_construction(g: Poly) -> Poly:
     """
     if g.arity < 1:
         raise ValueError("g must have at least one variable")
-    return g.substitute_linear(_doubling_matrix(g.arity))
+    return g.substitute_linear(_plane_map(2 * g.arity)[:g.arity])
 
 
 def ph_construction(h: PolyVector) -> Tuple[Poly, bool]:
@@ -197,9 +186,8 @@ def ph_construction(h: PolyVector) -> Tuple[Poly, bool]:
     n = len(h)
     if h.arity != n:
         raise ValueError("H must be a map C^n -> C^n in n variables")
-    matrix = _doubling_matrix(n)
-    total = _poly_dot(2 * n, [(Poly.variable(n + i, 2 * n), h[i].substitute_linear(matrix))
-                              for i in range(n)])
+    doubled = _substitute_linear(h.entries, _plane_map(2 * n)[:n], 2 * n)
+    total = _poly_dot(2 * n, [(Poly.variable(n + i, 2 * n), q) for i, q in enumerate(doubled)])
     # Tr JH^m = 0 for m = 1..n is equivalent to nilpotency in char 0
     nilpotent = all(t.is_zero() for t in jacobian(h).trace_powers(n))
     return total, nilpotent

@@ -94,20 +94,18 @@ def invert_general(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deform
     return _pair(p, slots, z_cap, "general")
 
 
-def _hn_slots(p: Poly, t_order: int, z_cap: Optional[int] = None,
-              values: bool = True) -> Tuple[bool, List[Poly]]:
-    """Whether p is HN, and Q_[1..T], T = max(t_order, n, 1), by the Laplacian recurrence
+def _hn_slots(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Optional[List[Poly]]:
+    """Q_[1..T], T = max(t_order, n, 1), by the Laplacian recurrence if p is HN, else None:
 
     Q_[1] = P,   Q_[m] = 1/(4(m-1)) Delta sum_{k+l=m} Q_[k] Q_[l].
 
     While Q_[1..m-1] are harmonic, slot m is invert_general's, and Delta Q_t =
     sum_k t^k Tr H^{k+1}(G_t) for H = Hes P, so the first nonzero Delta Q_[m] is
-    Tr H^m: by Newton's identities P is HN iff Delta Q_[m] = 0 for m <= n; for non-HN
-    p the slots stop at that m.  Raises unless both routes agree as polynomials there,
-    or if a later slot is not harmonic.  With a z-degree cap, slot m > n is kept to
-    z_cap + 2(T - m), so each Laplacian leaves z_cap exact.  It runs in _light_cone's
-    coordinates, exact for every P; the traces stay in (u, v), and Delta Q_[m] is mapped
-    back to meet them, with the slots if values (else none are returned), in one go.
+    Tr H^m: by Newton's identities P is HN iff Delta Q_[m] = 0 for m <= n.  Raises
+    unless both routes agree as polynomials there, or if a later slot is not harmonic.
+    With a z-degree cap, slot m > n is kept to z_cap + 2(T - m), so each Laplacian
+    leaves z_cap exact.  It runs in _light_cone's coordinates, exact for every P; the
+    traces stay in (u, v), and Delta Q_[m] is mapped back to meet them.
     """
     _require_order2(p)
     traces = trace_powers(p)  # Tr H^m for m <= n: the verdict's window
@@ -127,21 +125,19 @@ def _hn_slots(p: Poly, t_order: int, z_cap: Optional[int] = None,
                                ).laplacian(pairs))
         last, lap = m if forms[-1].terms else last, forms[-1].laplacian(pairs)
         if m <= n and (lap.terms or not traces[m - 1].is_zero()):
-            lap, *slots = back([f.poly() for f in [lap] + (forms if values else [])])
-            if lap != traces[m - 1]:
+            if back([lap.poly()]) != [traces[m - 1]]:
                 raise CriterionMismatchError(
                     f"Delta Q_[{m}] differs from Tr Hes(P)^{m} on {format_poly(p)!r}")
-            return False, slots
+            return None
         if lap.terms:
             raise TheoremCheckError(f"Q_[{m}] is not harmonic past the verdict: {format_poly(p)!r}")
-    slots = back([f.poly() for f in (forms if values else [])])
-    return True, slots + [Poly.zero(p.arity)] * (total - len(forms)) if values else []
+    return back([f.poly() for f in forms]) + [Poly.zero(p.arity)] * (total - len(forms))
 
 
 def invert_hn(p: Poly, t_order: int, z_cap: Optional[int] = None) -> DeformedPair:
     """The Laplacian recurrence of _hn_slots, HN input only; exact through z_cap."""
-    hn, slots = _hn_slots(p, t_order, z_cap)
-    if not hn:
+    slots = _hn_slots(p, t_order, z_cap)
+    if slots is None:
         raise HNRequiredError("invert_hn needs Hessian-nilpotent input")
     if t_order < 1:
         raise ValueError("t_order must be at least 1")
@@ -164,7 +160,7 @@ def _power_slots(p: Poly, k: int, t_order: int, who: str, error: Optional[str]) 
     on order < 2, then on non-HN input (before any power of P is formed), then
     with the caller's parameter error if there is one.
     """
-    if not _hn_slots(p, p.arity, values=False)[0]:
+    if _hn_slots(p, p.arity) is None:
         raise HNRequiredError(f"{who} needs Hessian-nilpotent input")
     if error is not None:
         raise ValueError(error)

@@ -41,6 +41,15 @@ def trace_powers(p: Poly, max_m: Optional[int] = None) -> List[Poly]:
     return hessian(p).trace_powers(max_m)
 
 
+def _plane_map(n: int, m=((1, GaussianRational(0, 1)), (1, GaussianRational(0, -1)))) -> List[list]:
+    """Rows of field j -> m00 x_j + m01 x_(h+j), field h + j -> m10 x_j + m11 x_(h+j), h = n // 2
+    (a last odd field kept); by default z_j = u_j + i v_j and zeta_j = u_j - i v_j, the doubled
+    coordinates, so at n = 2h the first h rows are pg's and ph's z_j -> u_j + i v_j."""
+    h = n // 2
+    return [[m[r // h][k // h] if max(r, k) < 2 * h and r % h == k % h else int(r == k)
+             for k in range(n)] for r in range(n)]
+
+
 def _light_cone(p: Poly) -> Tuple[Poly, List[tuple], Callable[[List[Poly]], List[Poly]]]:
     """(P', pairs, back) in the light-cone coordinates z_j = u_j + i v_j, zeta_j = u_j - i v_j
     (fields j and h + j, h = n // 2; a last odd field is kept) if P has fewer terms there:
@@ -49,18 +58,14 @@ def _light_cone(p: Poly) -> Tuple[Poly, List[tuple], Callable[[List[Poly]], List
     unless P' gives P exactly; else (P, [(i, i, 1)], the identity).  The map is a linear ring
     isomorphism, so it keeps degrees and zero tests and carries Delta to those pairs."""
     n, h, i = p.arity, p.arity // 2, GaussianRational(0, 1)
-
-    def plane_map(m):  # field j -> m00 x_j + m01 x_(h+j), field h + j -> m10 x_j + m11 x_(h+j)
-        return [[m[r // h][k // h] if max(r, k) < 2 * h and r % h == k % h else int(r == k)
-                 for k in range(n)] for r in range(n)]
     # the map keeps each term's degree in every plane (u_j, v_j) and is invertible on each
     # such piece, where a lone term of nonzero degree in k planes has 2^k or more image terms
     pieces = Counter(tuple(m[j] + m[h + j] for j in range(h)) + m[2 * h:] for m in p.terms)
     if sum(2 ** sum(map(bool, g[:h])) if c == 1 else 1 for g, c in pieces.items()) < len(p.terms):
-        image = p.substitute_linear(plane_map(((Fraction(1, 2),) * 2, (-i / 2, i / 2))))
+        image = p.substitute_linear(_plane_map(n, ((Fraction(1, 2),) * 2, (-i / 2, i / 2))))
         if len(image.terms) < len(p.terms):
             def back(polys: List[Poly]) -> List[Poly]:
-                source, *out = _substitute_linear([image] + polys, plane_map(((1, i), (1, -i))), n)
+                source, *out = _substitute_linear([image] + polys, _plane_map(n), n)
                 if source != p:
                     raise TheoremCheckError(f"{format_poly(p)!r} is not its light-cone image's")
                 return out
@@ -70,15 +75,13 @@ def _light_cone(p: Poly) -> Tuple[Poly, List[tuple], Callable[[List[Poly]], List
 
 def laplacian_powers(p: Poly, max_m: Optional[int] = None) -> List[Poly]:
     """[Delta^m (p^m) for m = 1..max_m], default max_m = arity: one power chain (through
-    Poly products) in the coordinates of _light_cone, the nonzero entries mapped back."""
+    Poly products) in the coordinates of _light_cone, mapped back."""
     if max_m is None:
         max_m = p.arity
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     image, pairs, back = _light_cone(p)
-    rows = laplacian_powers_table(image, max_m, (0,), pairs)[0][1:]
-    mapped = iter(back([v for v in rows if not v.is_zero()]))
-    return [v if v.is_zero() else next(mapped) for v in rows]
+    return back(laplacian_powers_table(image, max_m, (0,), pairs)[0][1:])
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,7 @@ def test_failure_tag_rebuilds_the_member(monkeypatch, kind, n, d, params):
 
     # a planted non-HN verdict stops the trial with a theorem-level error and its tag
     monkeypatch.setattr(hesnil.vanishing, "build_member", recording)
-    monkeypatch.setattr(hesnil.vanishing, "_hn_slots", lambda p, t_order: (False, [p]))
+    monkeypatch.setattr(hesnil.vanishing, "_hn_slots", lambda p, t_order: None)
     with pytest.raises(TheoremCheckError) as raised:
         hesnil.vanishing.run_trial(cfg, 1)
     tag = TAG.search(str(raised.value))
@@ -253,6 +253,22 @@ def test_d_past_max_d_exits_1_before_building(tmp_path):
         assert result.exit_code == 1
         assert "Error: d must be at most MAX_D = 256" in result.output
         assert "Traceback" not in result.output
+
+
+def test_doubled_members_past_the_bound_exit_1(tmp_path):
+    for kind in ("ph", "pg"):
+        config = {"n": 16, "d": 64, "generator": {"kind": kind}, "trials": 1, "seed": 1,
+                  "t_order": 4}
+        cfg_file = write(tmp_path / "cfg.json", json.dumps(config))
+        for args in (["generate", "--kind", kind, "--n", "16", "--d", "64", "--seed", "1"],
+                     ["vanishing", "--config", cfg_file]):
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 1
+            assert "more than MAX_DOUBLED_TERMS = 300000" in result.output
+            assert "Traceback" not in result.output
+    result = CliRunner().invoke(main, ["generate", "--kind", "w", "--n", "16", "--d", "64",
+                                       "--seed", "1"])
+    assert result.exit_code == 0, result.output
 
 
 def test_vanishing_stdout_and_exit_zero(tmp_path):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from hesnil import (
+    GaussianRational,
     GeneratorTheoremError,
     IsotropicSet,
     IsotropyViolation,
@@ -30,6 +31,7 @@ from hesnil import (
     w_construction_unchecked,
     w_tilde_construction,
 )
+from hesnil.nilpotency import _plane_map
 from hesnil.poly import Poly
 
 I = gr(0, 1)
@@ -268,3 +270,12 @@ sys.exit(0 if old() is None else 1)
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
+
+
+def test_plane_map_doubling_rows_are_z_to_u_plus_i_v():
+    # the rows pg and ph substitute: z_j -> u_j + i v_j over u_1..u_k, v_1..v_k
+    for k in range(1, 6):
+        old = [[gr(0, 1) if c == k + j else GaussianRational(int(c == j)) for c in range(2 * k)]
+               for j in range(k)]
+        rows = _plane_map(2 * k)[:k]
+        assert [[GaussianRational.coerce(c) for c in row] for row in rows] == old

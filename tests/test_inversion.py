@@ -262,21 +262,40 @@ def _verdict_inputs():
     return hn + [WORKED], build_non_hn_corpus(12) + late
 
 
+def spy_back(monkeypatch, light_cone=_light_cone):
+    """Record each list that _hn_slots' back map returns, light_cone giving the map."""
+    seen = []
+
+    def spied(p):
+        image, pairs, back = light_cone(p)
+
+        def recording(polys):
+            seen.append(back(polys))
+            return seen[-1]
+        return image, pairs, recording
+
+    monkeypatch.setattr(hesnil.inversion, "_light_cone", spied)
+    return seen
+
+
 def test_recurrence_verdict_is_the_hn_criterion(monkeypatch):
     hn, non_hn = _verdict_inputs()
+    seen = spy_back(monkeypatch)
     # every fourth random non-HN member is harmonic; the last two start later still
     assert [laplacian(p).is_zero() for p in non_hn[3:12:4]] == [True] * 3
     assert [t.is_zero() for t in trace_powers(non_hn[-2])] == [True, True, False]
     assert [t.is_zero() for t in trace_powers(non_hn[-1])] == [True, True, True, False]
     for p in hn + non_hn:
         pair = invert_general(p, p.arity)
-        verdict, slots = _hn_slots(p, p.arity)
-        assert verdict == is_hn(p).is_hn
+        slots = _hn_slots(p, p.arity)
+        assert (slots is not None) == is_hn(p).is_hn
         traces = trace_powers(p)
         first = next((m for m, t in enumerate(traces, 1) if not t.is_zero()), None)
         assert (first is None) == (p in hn)
-        # the gradient recurrence's slots, up to and including the first non-harmonic one
-        assert slots == list(pair.q.coeffs[:first or p.arity])
+        # on HN input the gradient recurrence's slots; else the one list mapped back is
+        # Delta of the gradient recurrence's first non-harmonic slot
+        assert slots == (list(pair.q.coeffs) if first is None else None)
+        assert seen[-1] == (slots if first is None else [laplacian(pair.q_slot(first))])
         for m in range(1, (first or p.arity) + 1):
             # zero below the first nonzero trace, and Tr Hes(P)^m itself there
             assert laplacian(pair.q_slot(m)) == traces[m - 1]
@@ -294,8 +313,8 @@ def test_hn_slots_are_the_gradient_recurrences(kind, cap):
     # on HN input the Laplacian recurrence gives invert_general's slots through z_cap,
     # past n and up to its closure
     p, _ = build_member(4, 3, kind, {}, 7)
-    hn, slots = _hn_slots(p, 9, cap)
-    assert hn and len(slots) == 9
+    slots = _hn_slots(p, 9, cap)
+    assert slots is not None and len(slots) == 9
     assert [q if cap is None else q.truncate(cap) for q in slots] == \
         list(invert_general(p, 9, cap).q.coeffs)
 
@@ -316,8 +335,7 @@ def test_light_cone_slots_are_the_gradient_recurrences_on_pg_and_ph(kind, n, d):
     for seed in (11, 17):
         p, _ = build_member(n, d, kind, {}, seed)
         assert len(_light_cone(p)[0].terms) < len(p.terms)
-        hn, slots = _hn_slots(p, n + 2)
-        assert hn and slots == list(invert_general(p, n + 2).q.coeffs)
+        assert _hn_slots(p, n + 2) == list(invert_general(p, n + 2).q.coeffs)
 
 
 def _light_cone_input(rng, n, shape):
@@ -356,16 +374,45 @@ def test_light_cone_slots_match_the_uv_recurrence_on_random_inputs(monkeypatch):
         if not p.is_zero() and len(_light_cone(p)[0].terms) < len(p.terms):
             inputs.append(p)
     assert {p.arity for p in inputs} == {3, 4, 5, 6}
+    seen = spy_back(monkeypatch)
     light = [_hn_slots(p, 5, cap) for p in inputs for cap in (None, 5)]
+    light_seen = seen[:]
     # each shape gives both verdicts' routes: the HN ones run to slot 5 and past, the
     # others stop at their first nonzero Delta Q_[m], mapped back to meet Tr Hes(P)^m
-    verdicts = [hn for hn, _ in light]
+    verdicts = [slots is not None for slots in light]
     assert verdicts.count(True) >= 32 and verdicts.count(False) >= 24
-    assert {len(slots) for _, slots in light} >= {1, 2, 5, 6}
+    assert {len(slots) for slots in light if slots is not None} == {5, 6}
+    twice = [(ts, next((m for m, t in enumerate(ts, 1) if not t.is_zero()), None))
+             for ts in map(trace_powers, inputs) for _ in (None, 5)]
+    assert [slots is None for slots in light] == [m is not None for _, m in twice]
+    assert {m for _, m in twice} >= {None, 1, 2}
+    assert [mapped for mapped, (_, m) in zip(light_seen, twice) if m is not None] == \
+        [[ts[m - 1]] for ts, m in twice if m is not None]
     # the same recurrence on P itself, with Delta = sum_i d_i^2
-    monkeypatch.setattr(hesnil.inversion, "_light_cone",
-                        lambda p: (p, [(j, j, 1) for j in range(p.arity)], lambda polys: polys))
+    seen = spy_back(monkeypatch, lambda p: (p, [(j, j, 1) for j in range(p.arity)],
+                                            lambda polys: polys))
     assert light == [_hn_slots(p, 5, cap) for p in inputs for cap in (None, 5)]
+    assert light_seen == seen
+
+
+def test_non_hn_input_meets_its_trace_before_none_is_returned(monkeypatch):
+    # non-HN inputs that the recurrence runs in light-cone coordinates
+    rng, inputs = random.Random(4507), []
+    while len(inputs) < 8:
+        p = _light_cone_input(rng, 4 + len(inputs) % 2, "any")
+        if (not p.is_zero() and len(_light_cone(p)[0].terms) < len(p.terms)
+                and not is_hn(p).is_hn):
+            inputs.append(p)
+    for p in inputs:
+        assert _hn_slots(p, 5) is None
+        first = next(m for m, t in enumerate(trace_powers(p), 1) if not t.is_zero())
+        # Delta Q_[m] off Tr Hes(P)^m by a constant, or a zero Tr Hes(P)^m: both raise
+        for planted in (lambda t: t + 1, lambda t: t.scale(0)):
+            monkeypatch.setattr(hesnil.inversion, "trace_powers", lambda q: [
+                planted(t) if m == first else t for m, t in enumerate(trace_powers(q), 1)])
+            with pytest.raises(CriterionMismatchError, match=rf"Delta Q_\[{first}\] differs"):
+                _hn_slots(p, 5)
+            monkeypatch.undo()
 
 
 def test_hn_slots_certify_the_light_cone_map(monkeypatch):
@@ -377,17 +424,19 @@ def test_hn_slots_certify_the_light_cone_map(monkeypatch):
         return [out[0] + Poly.variable(0, p.arity) ** 3] + out[1:]
 
     monkeypatch.setattr(hesnil.nilpotency, "_substitute_linear", tampered)
-    for run in (lambda: _hn_slots(p, 8), lambda: _hn_slots(p, 8, values=False),
+    for run in (lambda: _hn_slots(p, 8), lambda: invert_hn(p, 8),
                 lambda: invert_closed(p, 3), lambda: is_hn(p)):
         with pytest.raises(TheoremCheckError, match="is not its light-cone image's"):
             run()
 
 
-def test_hn_only_inverters_refuse_a_harmonic_non_hn_input():
+def test_hn_only_inverters_refuse_a_harmonic_non_hn_input(monkeypatch):
     # Delta P = 0 but Tr Hes(P)^2 = 8: refused at slot 2, with each caller's message
     p = parse("z1^2 - z2^2")
     assert laplacian(p).is_zero() and not is_hn(p).is_hn
-    assert _hn_slots(p, 5) == (False, [p, invert_general(p, 2).q_slot(2)])
+    seen = spy_back(monkeypatch)
+    assert _hn_slots(p, 5) is None
+    assert seen == [[laplacian(invert_general(p, 2).q_slot(2))]] == [[Poly.constant(2, 8)]]
     for who, refuse in (("invert_hn", lambda: invert_hn(p, 5)),
                         ("invert_hn", lambda: invert_hn(p, 5, z_cap=2)),
                         ("invert_closed", lambda: invert_closed(p, 5)),

@@ -168,6 +168,15 @@ def test_laplacian_powers_map_nonzero_entries_back():
     assert laps == laplacian_powers_table(p, 4, (0,))[0][1:]
     assert not any(v.is_zero() for v in laps[:2]) and not is_hn(p).is_hn
 
+def test_light_cone_back_maps_zero_polynomials():
+    p = parse("(u1+i*v1)^3*(u2+i*v2) + v1*(u2+i*v2)^2")
+    image, _, back = _light_cone(p)
+    zero = Poly.zero(4)
+    assert image != p
+    assert back([zero, image * image, zero]) == [zero, p * p, zero]
+    assert back([zero]) == [zero] and back([]) == []
+
+
 def test_is_hn_certifies_the_light_cone_map(monkeypatch):
     p = parse("(u1+i*v1)^3*(u2+i*v2) + v1*(u2+i*v2)^2")
     assert len(_light_cone(p)[0].terms) < len(p.terms)

@@ -12,7 +12,7 @@ import pytest
 import hesnil.inversion
 import hesnil.vanishing
 from hesnil.diffops import laplacian_powers_table
-from hesnil.vanishing import MAX_D, MAX_N, MAX_T_ORDER
+from hesnil.vanishing import MAX_D, MAX_DOUBLED_TERMS, MAX_N, MAX_T_ORDER
 from hesnil import (
     ConfigError,
     ExperimentConfig,
@@ -150,6 +150,28 @@ def test_config_refuses_d_past_max_d():
             with pytest.raises(ConfigError, match=f"^d must be at most MAX_D = {MAX_D}$"):
                 ExperimentConfig.from_dict({**w, "d": d, **t_order})
     assert ExperimentConfig.from_dict({**BASE, "d": MAX_D}).d == MAX_D
+
+
+def test_doubled_members_are_refused_before_the_doubling(monkeypatch):
+    def never(*args):
+        raise AssertionError("the doubling ran")
+
+    monkeypatch.setattr(hesnil.vanishing, "pg_construction", never)
+    monkeypatch.setattr(hesnil.vanishing, "ph_construction", never)
+    for kind in ("ph", "pg"):
+        with pytest.raises(ConfigError, match=rf"^{kind} at n=16, d=64, trial_seed 1 doubles to "
+                                              rf"up to \d+ terms, more than MAX_DOUBLED_TERMS = "
+                                              rf"{MAX_DOUBLED_TERMS}$"):
+            build_member(16, 64, kind, {}, 1)
+    # w at the same n and d doubles nothing and is built
+    assert build_member(16, 64, "w", {}, 1)[0].is_homogeneous() == 64
+    monkeypatch.undo()
+    # the estimate is an upper bound on the doubled terms, met exactly by pg n=4, d=256
+    p, _ = build_member(4, 256, "pg", {}, 1)
+    assert len(p.terms) == 49_903 <= MAX_DOUBLED_TERMS
+    monkeypatch.setattr(hesnil.vanishing, "MAX_DOUBLED_TERMS", 49_902)
+    with pytest.raises(ConfigError, match="doubles to up to 49903 terms"):
+        build_member(4, 256, "pg", {}, 1)
 
 
 def test_build_member_errors():
@@ -395,7 +417,7 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
 
     # a non-HN verdict can only be a generator bug: the trial stops, tagged, before
     # forming any power of P
-    monkeypatch.setattr(hesnil.vanishing, "_hn_slots", lambda q, t_order: (False, [q]))
+    monkeypatch.setattr(hesnil.vanishing, "_hn_slots", lambda q, t_order: None)
     product_degrees.clear()
     with pytest.raises(TheoremCheckError,
                        match=r"^trial 0 \(.*trial_seed \d+\), is_hn: generator produced a "
@@ -412,8 +434,8 @@ def test_one_chain_gives_the_verdict_route_and_the_window(kind, big_m):
     p, _ = build_member(4, 3, kind, {}, 11)
     window = hesnil.vanishing._vanishing_flags(p, big_m)
     assert window == [hesnil.diffops.laplacian_iter(p ** (m + 1), m) for m in range(big_m + 1)]
-    hn, slots = hesnil.inversion._hn_slots(p, max(big_m + 1, p.arity))
-    assert hn == is_hn(p).is_hn
+    slots = hesnil.inversion._hn_slots(p, max(big_m + 1, p.arity))
+    assert (slots is not None) == is_hn(p).is_hn
     assert slots == list(invert_general(p, len(slots)).q.coeffs)
 
 
@@ -424,8 +446,8 @@ def test_flag_cross_check_compares_every_flag(monkeypatch):
     hn_slots = hesnil.vanishing._hn_slots
 
     def zeroes_q2(p, t_order):
-        hn, slots = hn_slots(p, t_order)
-        return hn, slots[:1] + [Poly.zero(p.arity)] + slots[2:]
+        slots = hn_slots(p, t_order)
+        return slots[:1] + [Poly.zero(p.arity)] + slots[2:]
 
     monkeypatch.setattr(hesnil.vanishing, "_hn_slots", zeroes_q2)
     report, failures = hesnil.vanishing.run_trial(cfg, 0)
@@ -446,8 +468,8 @@ def test_flag_cross_check_compares_values(monkeypatch):
              "t_order": big_m})
 
         def doubles_one_slot(p, t_order, slot=slot):
-            hn, slots = hn_slots(p, t_order)
-            return hn, slots[:slot] + [slots[slot].scale(2)] + slots[slot + 1:]
+            slots = hn_slots(p, t_order)
+            return slots[:slot] + [slots[slot].scale(2)] + slots[slot + 1:]
 
         monkeypatch.setattr(hesnil.vanishing, "_hn_slots", doubles_one_slot)
         report, failures = hesnil.vanishing.run_trial(cfg, 0)
