@@ -20,6 +20,7 @@ from .inversion import (
 )
 from .vanishing import (
     GENERATOR_KINDS,
+    MAX_T_ORDER,
     ExperimentConfig,
     build_member,
     emit_report,
@@ -53,13 +54,13 @@ def _style_for(text: str) -> str:
 @contextmanager
 def _failures():
     """Turn a raised library failure into an exit code: 2 for a theorem-level
-    failure, which only a bug can cause, and 1 for bad input."""
+    failure, which only a bug can cause, and 1 for bad input or an unwritable path."""
     try:
         yield
     except TheoremCheckError as exc:
         click.echo(f"theorem check failed: {exc}", err=True)
         sys.exit(2)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         raise click.ClickException(str(exc))
 
 
@@ -92,6 +93,8 @@ def check_hn_command(poly_file: str) -> None:
 @click.argument("poly_file", type=click.Path(exists=True, dir_okay=False))
 def invert_command(method: str, t_order: int, z_degree, poly_file: str) -> None:
     """Print Q_[1..M] of the deformed inversion pair plus a JSON summary."""
+    if t_order > MAX_T_ORDER:
+        raise click.ClickException(f"--t-order must be at most MAX_T_ORDER = {MAX_T_ORDER}")
     with _failures():
         text = _read_text(poly_file)
         pair = _INVERTERS[method](parse(text), t_order, z_cap=z_degree)
@@ -141,11 +144,11 @@ def vanishing_command(config_path: str) -> None:
             raise click.ClickException(f"config is not valid JSON: {exc}")
         cfg = ExperimentConfig.from_dict(data)
         reports, failures = run_vanishing_full(cfg)
-    if cfg.out:
-        emit_report(reports, cfg.format, cfg.out)
-        click.echo(f"wrote {len(reports)} report(s) to {cfg.out}")
-    else:
-        click.echo(render_report(reports, cfg.format), nl=False)
+        if cfg.out:
+            emit_report(reports, cfg.format, cfg.out)
+            click.echo(f"wrote {len(reports)} report(s) to {cfg.out}")
+        else:
+            click.echo(render_report(reports, cfg.format), nl=False)
     for msg in failures:
         click.echo(f"theorem check failed: {msg}", err=True)
     if failures:

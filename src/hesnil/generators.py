@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .gaussrat import GaussianRational, ScalarLike, gr
-from .poly import Poly, _poly_dot, _substitute_linear
+from .poly import Poly, _poly_dot
 from .diffops import PolyMatrix, PolyVector, cofactor_det, jacobian
 from .nilpotency import TheoremCheckError, _plane_map, is_hn, trace_powers
 
@@ -186,8 +186,10 @@ def ph_construction(h: PolyVector) -> Tuple[Poly, bool]:
     n = len(h)
     if h.arity != n:
         raise ValueError("H must be a map C^n -> C^n in n variables")
-    doubled = _substitute_linear(h.entries, _plane_map(2 * n)[:n], 2 * n)
-    total = _poly_dot(2 * n, [(Poly.variable(n + i, 2 * n), q) for i, q in enumerate(doubled)])
+    # sum_i w_i H_i(z) in 2n variables (z, w), then z_j -> u_j + i v_j and w_j -> v_j at once
+    lifted = Poly(2 * n, {m + tuple(int(j == i) for j in range(n)): c
+                          for i, q in enumerate(h) for m, c in q.terms.items()})
+    total = lifted.substitute_linear(_plane_map(2 * n, ((1, GaussianRational(0, 1)), (0, 1))))
     # Tr JH^m = 0 for m = 1..n is equivalent to nilpotency in char 0
     nilpotent = all(t.is_zero() for t in jacobian(h).trace_powers(n))
     return total, nilpotent

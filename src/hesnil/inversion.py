@@ -149,21 +149,18 @@ def invert_closed(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Deforme
 
     Q_[m] = Delta^{m-1} P^m / (2^{m-1} m! (m-1)!).
     """
-    error = "t_order must be at least 1" if t_order < 1 else None
-    return _pair(p, _power_slots(p, 1, t_order, "invert_closed", error), z_cap, "closed_form")
+    if _hn_slots(p, p.arity) is None:  # raises first on order < 2; forms no power of P
+        raise HNRequiredError("invert_closed needs Hessian-nilpotent input")
+    if t_order < 1:
+        raise ValueError("t_order must be at least 1")
+    return _pair(p, _power_slots(p, 1, t_order), z_cap, "closed_form")
 
 
-def _power_slots(p: Poly, k: int, t_order: int, who: str, error: Optional[str]) -> List[Poly]:
-    """k! Delta^m P^{m+k} / (2^m m! (m+k)!) for m < t_order: the t^m slots of Q_t^k.
-
-    At k = 1 slot m is Q_[m+1], so invert_closed and qt_power share it.  Raises
-    on order < 2, then on non-HN input (before any power of P is formed), then
-    with the caller's parameter error if there is one.
+def _power_slots(p: Poly, k: int, t_order: int) -> List[Poly]:
+    """k! Delta^m P^{m+k} / (2^m m! (m+k)!) for m < t_order: for HN P, the t^m slots of
+    Q_t^k.  At k = 1 slot m is Q_[m+1], so invert_closed, qt_power and the vanishing
+    window share this one chain of powers; the callers take the HN verdict.
     """
-    if _hn_slots(p, p.arity) is None:
-        raise HNRequiredError(f"{who} needs Hessian-nilpotent input")
-    if error is not None:
-        raise ValueError(error)
     # k! / (m! (m+k)!) = 1 / (m! perm(m+k, m))
     return [row.scale(Fraction(1, 2 ** m * math.factorial(m) * math.perm(m + k, m)))
             for m, row in enumerate(laplacian_powers_table(p, t_order - 1, (k,))[0])]
@@ -172,7 +169,8 @@ def _power_slots(p: Poly, k: int, t_order: int, who: str, error: Optional[str]) 
 def invert_fixed_point(p: Poly, t_order: int, z_cap: Optional[int] = None) -> List[PolyVector]:
     """Iterate G <- z + t (grad P)(G), truncated past t^t_order.
 
-    Round r pins down the coefficient of t^r, so t_order rounds converge.
+    Round r pins down the coefficient of t^r from the slots below it, so it
+    composes at window r, and t_order rounds converge.
     Returns one PolyVector per t-power 0..t_order; slot 0 is the identity
     and slot j equals grad Q_[j].  G stays packed through every round.
     """
@@ -190,8 +188,8 @@ def invert_fixed_point(p: Poly, t_order: int, z_cap: Optional[int] = None) -> Li
     dp = [source.partial(i) for i in range(n)]
     base = [_Packed.of(Poly.variable(i, n), top).truncate(z_cap) for i in range(n)]
     g = [[z] for z in base]
-    for _ in range(t_order):
-        comps = _compose_packed(dp, g, [t_order] * n, one)
+    for r in range(1, t_order + 1):
+        comps = _compose_packed(dp, g, [r] * n, one)
         g = [[base[i]] + [_slot(one, ps, cap=z_cap) for ps in comps[i]] for i in range(n)]
     return [PolyVector([g[i][j].poly() for i in range(n)]) for j in range(t_order + 1)]
 
@@ -395,8 +393,11 @@ def qt_power(p: Poly, k: int, t_order: int, z_cap: Optional[int] = None) -> TGra
 
     Q_t^k = k! sum_m t^m Delta^m P^{m+k} / (2^m m! (m+k)!).
     """
-    error = "k must be at least 1" if k < 1 else None
-    return TGraded(p.arity, _power_slots(p, k, t_order, "qt_power", error), t_order, z_cap)
+    if _hn_slots(p, p.arity) is None:
+        raise HNRequiredError("qt_power needs Hessian-nilpotent input")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return TGraded(p.arity, _power_slots(p, k, t_order), t_order, z_cap)
 
 
 def power_flow_check(pair: DeformedPair, k: int, m: int) -> Tuple[TGraded, TGraded]:

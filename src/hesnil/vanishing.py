@@ -17,14 +17,14 @@ import os
 import random
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from math import ceil, factorial, prod
+from math import ceil, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussrat import GaussianRational
 from .poly import Poly, _Packed, format_poly
-from .diffops import PolyVector, grad, laplacian_powers_table, sigma_squared
+from .diffops import PolyVector, grad, sigma_squared
 from .nilpotency import TheoremCheckError, is_hn
-from .inversion import _hn_slots
+from .inversion import _hn_slots, _power_slots
 from .generators import (
     IsotropicSet,
     IsotropyViolation,
@@ -47,13 +47,13 @@ class ConfigError(ValueError):
 _PARAM_KEYS = {"w": {"count"}, "wtilde": {"counts"}, "ug": {"k"}, "pg": set(), "ph": set()}
 GENERATOR_KINDS = tuple(_PARAM_KEYS)
 
-# a report holds t_order flags per trial; the cutoff + 2 fits through n=12 at d=4
+# a report's flags per trial, and `hesnil invert`'s slots; the cutoff + 2 fits through n=12, d=4
 MAX_T_ORDER = 100_000
 # a trial of the sparsest kind (w, count 1, d=3, t_order 4) takes 8.4 s at n = 64 on 2 cores
 MAX_N = 64
 # and (w, count 1, n=2, t_order 4) 0.5 s at d = 128, 5.5 s at d = 256 and 33 s at d = 400
 MAX_D = 256
-# and a pg or ph member's doubling: ph n=16, d=32 builds 282 306 terms in 5.2 s (trial seed 3)
+# and a pg or ph member's doubling: ph n=16, d=32 builds 282 306 terms in 3.0 s (trial seed 3)
 MAX_DOUBLED_TERMS = 300_000
 
 
@@ -317,11 +317,10 @@ def _ideal_ops(p: Poly) -> List[Tuple[str, Poly]]:
 
 
 def _pd_pass(p: Poly, d: int, w0: Sequence[Poly], big_m: int) -> bool:
-    """The pd_qt_check verdict, read off w0[m] = Delta^m P^{m+1}.
-
-    Q_[m] is Delta^{m-1} P^m times a nonzero constant, so P(D) Q_[m] = 0
-    exactly when P(D) w0[m-1] = 0; the spot checks of P, and so of
-    (P^2)(D) = P(D)P(D), on w0[0..2] are among those and run once.
+    """The pd_qt_check verdict, read off the window w0[m] = Q_[m+1], a nonzero
+    multiple of Delta^m P^{m+1}: the spot checks of P, and so of (P^2)(D) =
+    P(D)P(D), on w0[0..2] are among those of P(D) on Q_[m] and run once, and
+    Q_[2](D) stands in for (Delta P^2)(D).
     """
     if d == 2:
         ops = [("P", p), ("sigma^2", sigma_squared(p.arity))]
@@ -331,7 +330,8 @@ def _pd_pass(p: Poly, d: int, w0: Sequence[Poly], big_m: int) -> bool:
 
 
 def isotropy_check(p: Poly, d: int, m_max: int) -> Dict[Tuple[str, int], bool]:
-    """Apply sigma^2(D) and each (dP/dz_i)(D) to Delta^m P^{m+1}, m <= m_max.
+    """Apply sigma^2(D) and each (dP/dz_i)(D) to Delta^m P^{m+1}, m <= m_max, read off the
+    window Q_[m+1], a nonzero multiple of it.
 
     For a homogeneous Hessian-nilpotent P of degree >= 3 every one of these
     must be zero; a False entry falsifies the implementation, not the theory.
@@ -366,9 +366,10 @@ def pd_qt_check(p: Poly, big_m: int) -> bool:
 
 
 def _vanishing_flags(p: Poly, top: int) -> List[Poly]:
-    """The window W[m] = Delta^m P^{m+1}, m = 0..top, from one chain of powers of P;
-    the vanishing flags up to top are the zero tests of W[1..]."""
-    return laplacian_powers_table(p, top, (1,))[0]
+    """The window W[m] = Q_[m+1], m = 0..top, by the closed form for HN P: a nonzero
+    multiple of Delta^m P^{m+1}, so the vanishing flags up to top are the zero tests
+    of W[1..]."""
+    return _power_slots(p, 1, top + 1)
 
 
 def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[str]]:
@@ -383,7 +384,6 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
     except TheoremCheckError as exc:
         raise TheoremCheckError(f"{tag}, build_member: {exc}") from exc
     big_m = cfg.t_order
-    failures: List[str] = []
 
     # the self-certifying recurrence gives the verdict and the flags past the window
     try:
@@ -392,35 +392,27 @@ def run_trial(cfg: ExperimentConfig, index: int) -> Tuple[VanishingReport, List[
             raise TheoremCheckError("generator produced a non-HN polynomial")
     except TheoremCheckError as exc:
         raise TheoremCheckError(f"{tag}, is_hn: {exc}") from exc
-    # the isotropy, P(D) and cross-check steps read the window up to this m
+    # the isotropy, P(D) and cross-check steps read the closed-form window up to this m
     window = _vanishing_flags(p, max(min(big_m, 4), 2))
     flags = [w.is_zero() for w in window[1:big_m + 1]]
     flags += [slots[m].is_zero() for m in range(len(flags) + 1, big_m + 1)]
-    # for HN P, Q_[m+1] = Delta^m P^{m+1} / (2^m m! (m+1)!) (the closed form),
-    # so the recurrence must agree with the window on its values
-    off = [m for m in range(min(big_m, 4) + 1) if slots[m] != window[m].scale(
-        Fraction(1, 2 ** m * factorial(m) * factorial(m + 1)))]
-    if off:
-        failures.append(f"{tag}, flag cross-check: the recurrence's Q_[m+1] differs "
-                        f"from Delta^m P^(m+1) / (2^m m! (m+1)!) at m = {off}")
+    # for HN P the recurrence and the closed form give the same Q_[m+1]
+    off = [m for m in range(min(big_m, 4) + 1) if slots[m] != window[m]]
+    checks = [(not off, f"flag cross-check: the recurrence's Q_[m+1] differs "
+                        f"from Delta^m P^(m+1) / (2^m m! (m+1)!) at m = {off}")]
 
     degree_t = max((m for m, zero in enumerate(flags, 1) if not zero), default=0)
     d_actual = p.is_homogeneous()
     isotropy: Optional[Dict[str, Optional[bool]]] = None
     if d_actual is not None and d_actual >= 2:
-        pd_ok = _pd_pass(p, d_actual, window, min(big_m, 4))
-        if d_actual >= 3:
-            ideal = _annihilated(_ideal_ops(p), window[:min(big_m, 3) + 1])
-            ideal_ok = all(ideal.values())
-            isotropy = {"derivative_ideal": ideal_ok, "pd_on_q": pd_ok}
-            if not ideal_ok:
-                failures.append(f"{tag}, isotropy: derivative-ideal annihilation failed")
-            if not pd_ok:
-                failures.append(f"{tag}, P(D): annihilation of Q coefficients failed")
-        else:
-            isotropy = {"derivative_ideal": None, "pd_on_q": pd_ok}
-            if not pd_ok:
-                failures.append(f"{tag}, P(D): degree-2 annihilation variant failed")
+        ideal = _annihilated(_ideal_ops(p), window[:min(big_m, 3) + 1]) if d_actual >= 3 else None
+        isotropy = {"derivative_ideal": None if ideal is None else all(ideal.values()),
+                    "pd_on_q": _pd_pass(p, d_actual, window, min(big_m, 4))}
+        checks += [(isotropy["derivative_ideal"] is not False,
+                    "isotropy: derivative-ideal annihilation failed"),
+                   (isotropy["pd_on_q"], "P(D): annihilation of Q coefficients failed"
+                    if ideal is not None else "P(D): degree-2 annihilation variant failed")]
+    failures = [f"{tag}, {message}" for ok, message in checks if not ok]
 
     bound = alpha_bound(cfg.n, cfg.d)
     respected = all(flags[m - 1] for m in range(1, big_m + 1) if m > bound)

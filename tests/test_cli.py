@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+import hesnil.cli
 import hesnil.inversion
 import hesnil.nilpotency
 import hesnil.vanishing
@@ -23,6 +24,7 @@ from hesnil import (
     run_vanishing_full,
 )
 from hesnil.cli import main
+from hesnil.vanishing import MAX_T_ORDER
 
 WORKED_TEXT = "v1*(u2+i*v2)^2"
 
@@ -89,6 +91,23 @@ def test_invert_rejects_bad_input(tmp_path):
                                       non_hn])
         assert result.exit_code == 1
         assert result.stderr == "Error: invert_closed needs Hessian-nilpotent input\n"
+
+
+def test_invert_refuses_t_order_past_max_t_order_before_any_work(tmp_path, monkeypatch):
+    runner = CliRunner()
+    poly_file = write(tmp_path / "p.txt", WORKED_TEXT)
+    monkeypatch.setattr(hesnil.cli, "parse", lambda *args: pytest.fail("input was parsed"))
+    for method in ("general", "hn", "closed", "fixed-point"):
+        result = runner.invoke(main, ["invert", "--method", method, "--t-order",
+                                      str(MAX_T_ORDER + 1), poly_file])
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: --t-order must be at most MAX_T_ORDER = {MAX_T_ORDER}\n"
+    monkeypatch.undo()
+    # values below 1 keep the inverters' own message
+    result = runner.invoke(main, ["invert", "--t-order", "0", poly_file])
+    assert result.exit_code == 1 and result.stderr == "Error: t_order must be at least 1\n"
+    result = runner.invoke(main, ["invert", "--method", "closed", "--t-order", "2", poly_file])
+    assert result.exit_code == 0
 
 
 def test_unreadable_input_and_negative_z_degree_exit_1(tmp_path):
@@ -297,6 +316,19 @@ def test_vanishing_writes_file(tmp_path):
     text = out_path.read_text(encoding="utf-8")
     assert text.startswith("provenance,hn_verdict,m1,m2,m3,")
     assert text.count("\n") == 3
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_unwritable_out_exits_1_naming_the_path(tmp_path, where):
+    # a missing directory and a directory itself: an error line, not a traceback
+    out_path = tmp_path / where
+    cfg_data = {"n": 4, "d": 3, "generator": {"kind": "w"}, "trials": 1, "seed": 3,
+                "t_order": 3, "out": str(out_path)}
+    cfg_file = write(tmp_path / "cfg.json", json.dumps(cfg_data))
+    result = CliRunner().invoke(main, ["vanishing", "--config", cfg_file])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("Error: ") and str(out_path) in result.stderr
+    assert "Traceback" not in result.stderr and "wrote" not in result.stdout
 
 
 GOLDEN_CONFIG = {"n": 4, "d": 3, "generator": {"kind": "ph"}, "trials": 2,

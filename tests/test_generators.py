@@ -143,6 +143,28 @@ def test_ph_construction_and_verdict():
         ph_construction(PolyVector([parse("z1", arity=2)]))
 
 
+def reference_ph(h):
+    """P_H in two steps: each H_i(u + iv) by its own substitution, then sum_i v_i H_i."""
+    n = len(h)
+    doubling = [[1 if k == j else I if k == n + j else 0 for k in range(2 * n)]
+                for j in range(n)]
+    total = Poly.zero(2 * n)
+    for i, q in enumerate(h):
+        total = total + Poly.variable(n + i, 2 * n) * q.substitute_linear(doubling)
+    return total
+
+
+def test_ph_construction_matches_the_two_step_route():
+    rng = random.Random(5150)
+    pool = [gr(1), gr(-2), gr("1/2", 1), gr(0, -1), gr(3, "-3/2")]
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            # any map C^n -> C^n, constant and linear parts and zero components included
+            h = PolyVector([Poly(n, {tuple(rng.randrange(3) for _ in range(n)): rng.choice(pool)
+                                     for _ in range(rng.randrange(4))}) for _ in range(n)])
+            assert ph_construction(h)[0] == reference_ph(h)
+
+
 def test_power_laplacian_on_isotropic_products():
     # Delta(h_a^m h_b^k) = 2 m k <a, b> h_a^(m-1) h_b^(k-1) for isotropic a, b
     rng = random.Random(7421)

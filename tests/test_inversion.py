@@ -157,6 +157,22 @@ def test_fixed_point_iterates():
         assert layer[0] == parse("z1").scale(2 ** m)
 
 
+def test_fixed_point_round_r_composes_at_window_r(monkeypatch):
+    p, t = parse("z1^2*z2 + z2^3"), 5
+    windows = []
+    compose = hesnil.inversion._compose_packed
+
+    def spied(polys, values, ws, one):
+        windows.append(list(ws))
+        return compose(polys, values, ws, one)
+
+    expected = invert_fixed_point(p, t)
+    monkeypatch.setattr(hesnil.inversion, "_compose_packed", spied)
+    assert invert_fixed_point(p, t) == expected
+    assert windows == [[r] * p.arity for r in range(1, t + 1)]
+    assert pair_from_fixed_point(p, t).q == invert_general(p, t).q
+
+
 def test_potential_from_gradient():
     q = parse("z1^2*z2 + z2^3")
     vec = PolyVector([parse("2*z1*z2"), parse("z1^2 + 3*z2^2")])
@@ -584,6 +600,25 @@ def test_closed_form_and_its_verdict_share_one_chain(monkeypatch, member):
     assert len(squares) == 1
     assert qt_power(p, 2, 4) == expected[1]
     assert len(squares) == 2
+
+
+@pytest.mark.parametrize("member", sorted(HN_MEMBERS))
+def test_closed_form_takes_one_verdict(monkeypatch, member):
+    kind, n, d = HN_MEMBERS[member]
+    p, _ = build_member(n, d, kind, {}, 7)
+    calls = []
+
+    def counting_hn_slots(q, t_order, z_cap=None):
+        calls.append((q, t_order))
+        return _hn_slots(q, t_order, z_cap)
+
+    monkeypatch.setattr(hesnil.inversion, "_hn_slots", counting_hn_slots)
+    pair = invert_closed(p, 4)
+    assert calls == [(p, p.arity)]
+    assert pair.q == invert_hn(p, 4).q
+    calls.clear()
+    qt_power(p, 2, 4)
+    assert calls == [(p, p.arity)]
 
 
 @pytest.mark.parametrize("member", sorted(HN_MEMBERS))

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import ceil
+from math import ceil, factorial
 
 import pytest
 
@@ -430,13 +430,27 @@ def test_trial_takes_one_hn_verdict_and_one_window(monkeypatch, config):
 @pytest.mark.parametrize("kind", hesnil.vanishing.GENERATOR_KINDS)
 def test_one_chain_gives_the_verdict_route_and_the_window(kind, big_m):
     # n = 4 is above M = 2 and below M = 6; run_trial's one recurrence gives the
-    # verdict, and one chain of powers the window
+    # verdict, and one chain of powers the window: the closed form
+    # Q_[m+1] = Delta^m P^{m+1} / (2^m m! (m+1)!)
     p, _ = build_member(4, 3, kind, {}, 11)
     window = hesnil.vanishing._vanishing_flags(p, big_m)
-    assert window == [hesnil.diffops.laplacian_iter(p ** (m + 1), m) for m in range(big_m + 1)]
+    assert window == [hesnil.diffops.laplacian_iter(p ** (m + 1), m).scale(
+        Fraction(1, 2 ** m * factorial(m) * factorial(m + 1))) for m in range(big_m + 1)]
     slots = hesnil.inversion._hn_slots(p, max(big_m + 1, p.arity))
     assert (slots is not None) == is_hn(p).is_hn
     assert slots == list(invert_general(p, len(slots)).q.coeffs)
+
+
+@pytest.mark.parametrize("top", [2, 4])
+@pytest.mark.parametrize("kind", hesnil.vanishing.GENERATOR_KINDS)
+def test_window_and_closed_form_inverters_share_one_producer(kind, top):
+    # the window, invert_closed and qt_power at k = 1 all give Q_[1..top + 1]
+    for n, d in ((4, 3), (4, 4)):
+        p, _ = build_member(n, d, kind, {}, 23)
+        window = hesnil.vanishing._vanishing_flags(p, top)
+        assert window == list(hesnil.invert_closed(p, top + 1).q.coeffs)
+        assert window == list(hesnil.qt_power(p, 1, top + 1).coeffs)
+        assert window == hesnil.inversion._hn_slots(p, top + 1)[:top + 1]
 
 
 def test_flag_cross_check_compares_every_flag(monkeypatch):
